@@ -25,7 +25,11 @@
 #      parity, byte-identical paged SPARQL-JSON over the mmap store,
 #      corruption → typed errors, read-only enforcement), plus a
 #      build → zero-copy reopen round-trip through the CLI boot path;
-#   6. the full tier-1 test suite.
+#   6. the benchmark ledger's smoke run (all four workloads on the
+#      small dataset with their answer checks, <30 s) and its harness
+#      tests, so an engine change that breaks a ledger workload fails
+#      here before the benchmark gate does;
+#   7. the full tier-1 test suite.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -99,6 +103,11 @@ python -m repro stats > "$snapdir/from-mem.txt"
 diff "$snapdir/from-mem.txt" "$snapdir/from-snap.txt" \
   || { echo "FAIL: stats differ between snapshot and in-memory boot"; exit 1; }
 echo "ok: snapshot boot serves the same opening statistics as a text boot"
+
+echo
+echo "== benchmark ledger smoke =="
+python3 benchmarks/ledger/run.py --smoke
+python -m pytest -q benchmarks/ledger/tests
 
 echo
 echo "== tier-1 test suite =="

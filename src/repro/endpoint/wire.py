@@ -170,9 +170,11 @@ def _raise_protocol_error(response: SparqlHttpResponse) -> None:
     """Surface a non-2xx response as the most specific client error.
 
     Transient statuses raise :class:`TransientWireError` (retryable);
-    400 bodies carrying a continuation-token failure re-raise as the
-    matching :class:`~repro.sparql.executor.ContinuationError` subclass
-    so paging clients see the same error taxonomy locally and remotely;
+    400 bodies carrying a continuation-token failure or a refused
+    paging budget re-raise as the matching
+    :class:`~repro.sparql.executor.ContinuationError` subclass /
+    :class:`~repro.sparql.executor.InvalidBudgetError`, so paging
+    clients see the same error taxonomy locally and remotely;
     everything else is a plain :class:`SparqlError`.
     """
     if response.status in TRANSIENT_STATUSES:
@@ -183,13 +185,14 @@ def _raise_protocol_error(response: SparqlHttpResponse) -> None:
     if response.status == 400:
         from ..sparql import executor as sparql_executor
 
-        token_errors = {
+        paging_errors = {
             "MalformedTokenError": sparql_executor.MalformedTokenError,
             "TokenVersionError": sparql_executor.TokenVersionError,
             "ExpiredTokenError": sparql_executor.ExpiredTokenError,
+            "InvalidBudgetError": sparql_executor.InvalidBudgetError,
         }
         name, _, detail = response.body.partition(": ")
-        error_class = token_errors.get(name)
+        error_class = paging_errors.get(name)
         if error_class is not None:
             raise error_class(detail or response.body)
     raise SparqlError(f"endpoint returned {response.status}: {response.body}")

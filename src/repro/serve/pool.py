@@ -52,6 +52,7 @@ from ..endpoint.wire import TransientWireError
 from ..obs.metrics import REGISTRY
 from ..sparql.executor import (
     ExpiredTokenError,
+    InvalidBudgetError,
     MalformedTokenError,
     TokenVersionError,
 )
@@ -115,6 +116,7 @@ _TUNNELLED = {
     "MalformedTokenError": MalformedTokenError,
     "TokenVersionError": TokenVersionError,
     "ExpiredTokenError": ExpiredTokenError,
+    "InvalidBudgetError": InvalidBudgetError,
 }
 
 

@@ -18,6 +18,7 @@ from .physical import PhysicalOperator, PlanStateError
 from .planner import PhysicalPlan, PhysicalPlanFactory, build_physical_plan
 from .executor import (
     ExpiredTokenError,
+    InvalidBudgetError,
     MalformedTokenError,
     Page,
     RoundRobinScheduler,
@@ -61,6 +62,7 @@ __all__ = [
     "MalformedTokenError",
     "TokenVersionError",
     "ExpiredTokenError",
+    "InvalidBudgetError",
     "encode_continuation",
     "decode_continuation",
     "restore_plan",

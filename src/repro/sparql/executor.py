@@ -41,7 +41,7 @@ from ..rdf.graph import Graph
 from .errors import SparqlError
 from .evaluator import EvalStats
 from .functions import Binding
-from .physical import PlanStateError
+from .physical import BLOCK, PlanStateError
 from .planner import PhysicalPlan, PhysicalPlanFactory
 from .results import AskResult, SelectResult
 
@@ -49,6 +49,7 @@ __all__ = [
     "TOKEN_VERSION",
     "DEFAULT_QUANTUM_MS",
     "ContinuationError",
+    "InvalidBudgetError",
     "MalformedTokenError",
     "TokenVersionError",
     "ExpiredTokenError",
@@ -104,8 +105,12 @@ _SCHEDULER_ROUNDS_TOTAL = REGISTRY.counter(
 )
 _OPERATOR_STEPS_TOTAL = REGISTRY.counter(
     "repro_exec_operator_steps_total",
-    "Bounded next() steps driven through plan roots by the executor",
+    "Bounded next(limit) block steps driven through plan roots by the executor",
 )
+
+
+class InvalidBudgetError(SparqlError):
+    """``page_size`` or ``quantum_ms`` leaves a quantum no room to run."""
 
 
 class ContinuationError(SparqlError):
@@ -160,8 +165,24 @@ def run_quantum(
 
     With neither bound set this runs to completion.  The plan stays
     live; serialising it into a token (or keeping it in a scheduler) is
-    the caller's choice.
+    the caller's choice.  The root is asked for at most the rows the
+    page still has room for, so a page never overshoots its budget and
+    no operator holds produced rows back across a suspension.
+
+    Raises :class:`InvalidBudgetError` for ``page_size < 1`` or
+    ``quantum_ms <= 0``: a quantum that may return no row and do no
+    work would never finish the query.
     """
+    if page_size is not None and not (
+        isinstance(page_size, int) and page_size >= 1
+    ):
+        raise InvalidBudgetError(
+            f"page_size must be an integer >= 1, not {page_size!r}"
+        )
+    if quantum_ms is not None and not quantum_ms > 0:  # also refuses NaN
+        raise InvalidBudgetError(
+            f"quantum_ms must be positive, not {quantum_ms!r}"
+        )
     before = EvalStats()
     before.merge(plan.stats)
     deadline = (
@@ -172,19 +193,19 @@ def run_quantum(
     root = plan.root
     steps = 0
     while not root.done:
-        row = root.next()
+        rows += root.next(
+            BLOCK if page_size is None else min(BLOCK, page_size - len(rows))
+        )
         steps += 1
-        if row is not None:
-            rows.append(row)
-            plan.stats.results += 1
-            if page_size is not None and len(rows) >= page_size:
-                if not root.done:
-                    reason = "row_budget"
-                break
+        if page_size is not None and len(rows) >= page_size:
+            if not root.done:
+                reason = "row_budget"
+            break
         if deadline is not None and perf_counter() >= deadline:
             if not root.done:
                 reason = "deadline"
             break
+    plan.stats.results += len(rows)
     _OPERATOR_STEPS_TOTAL.inc(steps)
     complete = root.done
     _PAGES_TOTAL.labels(outcome="complete" if complete else "suspended").inc()
@@ -207,7 +228,7 @@ def run_to_completion(plan: PhysicalPlan):
     """
     if plan.is_ask:
         while not plan.root.done:
-            if plan.root.next() is not None:
+            if plan.root.next(1):
                 return AskResult(True, stats=plan.stats)
         return AskResult(False, stats=plan.stats)
     page = run_quantum(plan)

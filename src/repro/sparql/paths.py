@@ -66,7 +66,7 @@ _UNKNOWN = -1
 
 #: Candidate dictionary IDs probed per ``next_pair()`` call while the
 #: all-nodes walk scans for the next graph node (bounds one step of the
-#: ``?s p* ?o`` shape the way SCAN_BATCH bounds a flat scan).
+#: ``?s p* ?o`` shape the way ``BLOCK`` bounds a flat scan).
 NODE_PROBE_BATCH = 64
 
 _PATH_SCANS = REGISTRY.counter(

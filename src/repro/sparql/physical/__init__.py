@@ -6,15 +6,23 @@ the Python stack, so a heavy query cannot be paused.  This package is
 the engine's *physical* layer in the style of sage-engine's preemptable
 iterators: every operator is an explicit object with a uniform
 
-    ``next() -> Optional[Binding]`` / ``save() -> state`` / ``load(state)``
+    ``next(limit) -> List[Binding]`` / ``save() -> state`` / ``load(state)``
 
-protocol.  ``next()`` performs one *bounded* unit of work and returns
-either a solution mapping, or ``None`` when the call made progress but
-produced no row yet (a build phase, a filtered candidate, a suspended
-child).  ``done`` reports exhaustion.  Because no control state hides in
+protocol.  ``next(limit)`` performs one *bounded* unit of work and
+returns at most ``limit`` solution mappings — possibly none, when the
+call made progress but has no row yet (a build phase, rejected
+candidates, a suspended child).  ``done`` reports exhaustion.  One
+constant, :data:`BLOCK`, bounds the unit everywhere: rows returned,
+child rows a blocking phase absorbs (``child.next(BLOCK)``), candidates
+a scan examines, groups an aggregation emits.  Operators whose resume
+state is "current outer row + offset" (the scans, hash-join and OPTIONAL
+probe sides) pull their streaming input one row at a time
+(``child.next(1)``) and fill the block across outer rows; the executor
+asks the root for no more rows than the page has room for, so nothing
+ever has to hold produced rows back.  Because no control state hides in
 generator frames, an operator tree can be stopped between any two
-``next()`` calls, serialised with :meth:`PhysicalOperator.save` into a
-JSON-able state tree, and reconstructed later with
+``next(limit)`` calls, serialised with :meth:`PhysicalOperator.save`
+into a JSON-able state tree, and reconstructed later with
 :meth:`PhysicalOperator.load` — the substrate of the time-quantum
 executor (:mod:`repro.sparql.executor`) and its continuation tokens.
 
@@ -32,10 +40,15 @@ term — not a :class:`~repro.rdf.terms.Term` object.  Scans read
 ``Graph.triples_ids``; join probes, DISTINCT seen-sets, MINUS
 compatibility checks, and group keys all hash and compare plain
 integers.  The only places terms are materialized are the expression
-boundaries (FILTER / BIND / ORDER BY / aggregates decode a row, and any
-computed term is re-interned so binding values stay uniformly encoded)
-and the :class:`MaterializeOp` the planner mounts at the plan root,
-which decodes each result row exactly once.  Scan-offset continuation
+boundaries (FILTER / BIND / ORDER BY / aggregates outside the chart
+shape decode a row, and any computed term is re-interned so binding
+values stay uniformly encoded) and the :class:`MaterializeOp` the
+planner mounts at the plan root, which decodes each result row exactly
+once.  The chart shape itself never crosses: the pattern scan extends a
+slice of candidate ID triples with one comprehension, and
+:class:`AggregationOp` folds ``COUNT(*)`` / ``COUNT(?v)`` / ``SUM(?v)``
+/ ``AVG(?v)`` over plain-variable keys on IDs alone (per-execution
+``id -> number`` and ``count -> id`` memos).  Scan-offset continuation
 state therefore lives in ID space; IDs are stable for the lifetime of
 the store, and the executor's graph-``version`` check already rejects
 tokens whose triples changed.
@@ -45,7 +58,7 @@ boundary helpers, :mod:`.scan` the leaves (singleton, VALUES, pattern
 scan), :mod:`.ppath` the preemptable property-path traversal (BFS
 closures over int frontiers with the frontier/visited/cursor state
 serialised into the token instead of a skip-ahead offset),
-:mod:`.rows` the row-at-a-time operators (filter/bind/project/
+:mod:`.rows` the streaming per-row operators (filter/bind/project/
 distinct/slice), :mod:`.join` the stream combinators (hash join,
 OPTIONAL, MINUS, UNION), :mod:`.aggregate` the blocking analytics
 (GROUP BY, ORDER BY, top-k), and :mod:`.materialize` the plan-root
@@ -59,9 +72,7 @@ Operator trees are compiled from algebra trees by
 from __future__ import annotations
 
 from .base import (
-    BUILD_BATCH,
-    SCAN_BATCH,
-    _EXHAUSTED,
+    BLOCK,
     PhysicalOperator,
     PlanStateError,
     _UnaryOp,
@@ -94,6 +105,7 @@ from .aggregate import AggregationOp, OrderByOp, TopKOp, _order_key
 from .materialize import MaterializeOp, drain
 
 __all__ = [
+    "BLOCK",
     "PlanStateError",
     "PhysicalOperator",
     "SingletonOp",

@@ -22,18 +22,23 @@ from ...rdf.terms import Literal, Term
 # helpers so both engines rank identically.
 from ..evaluator import _Reversed, _TopKEntry
 from .base import (
-    BUILD_BATCH,
+    BLOCK,
     PhysicalOperator,
     _UnaryOp,
     _decode_opt_term,
     _decode_row,
     _encode_opt_term,
     _encode_value,
+    _execution_memo,
     decode_binding,
     encode_binding,
 )
 
 __all__ = ["AggregationOp", "OrderByOp", "TopKOp"]
+
+
+#: ``id -> number`` memo entry for a term that is not a numeric literal.
+_NOT_A_NUMBER = object()
 
 
 class _StreamingAgg:
@@ -165,8 +170,8 @@ class _StreamingAgg:
 class AggregationOp(PhysicalOperator):
     """GROUP BY + aggregate projection (fused, like the algebra node).
 
-    Builds groups incrementally (bounded chunks of input per call), then
-    emits one group's output row per call, releasing each group's state
+    Builds groups incrementally (one child block per call), then emits
+    a block of group output rows per call, releasing each group's state
     as it is emitted.
 
     When every projected aggregate is decomposable (non-DISTINCT COUNT,
@@ -177,6 +182,13 @@ class AggregationOp(PhysicalOperator):
     aggregates and HAVING fall back to buffering member rows verbatim,
     so the aggregates computed after resume see exactly the members
     collected before suspension.
+
+    The streaming fold itself has an ID-space kernel (:meth:`_fold_ids`)
+    for the chart shape — keys that are plain variables, aggregates that
+    are ``COUNT(*)``, ``COUNT(?v)``, ``SUM(?v)`` or ``AVG(?v)`` — which
+    never decodes a member row; anything else takes the generic
+    per-member fold (:meth:`_absorb`).  Both produce the same
+    accumulators, so the saved state does not say which one ran.
     """
 
     label = "Aggregation"
@@ -200,12 +212,45 @@ class AggregationOp(PhysicalOperator):
             and projection.expression.argument is not None
             for projection in self.projections
         )
+        self._id_fold = self._plan_id_fold()
+        self._out_names = [
+            projection.var.name for projection in self.projections
+        ]
+        # Per-execution memos shared by every aggregation of the plan:
+        # the outer SUM(?sp) of a chart reads the inner COUNT(*) back
+        # through them without a Literal or a dictionary round trip.
+        self._numbers = _execution_memo(runtime, "_id_numbers")
+        self._count_ids = _execution_memo(runtime, "_count_ids")
         self._phase = "build"
         self._group_keys: List[Optional[Tuple]] = []
         # group key -> member rows (buffering) or accumulators (streaming)
         self._groups: Dict[Tuple, List] = {}
         self._key_bindings: Dict[Tuple, Binding] = {}
         self._emit_index = 0
+
+    def _plan_id_fold(self):
+        """``[(accumulator slot, variable or None, is SUM/AVG)]`` when the
+        whole fold can stay in ID space, else ``None``."""
+        from ..ast import VarExpr
+
+        if not self._streaming or any(
+            var_name is None for _, var_name, _ in self._key_specs
+        ):
+            return None
+        fold = []
+        for slot, projection in enumerate(self.projections):
+            agg = projection.expression
+            if agg is None:
+                continue
+            if agg.name not in ("COUNT", "SUM", "AVG"):
+                return None
+            if agg.argument is None:
+                fold.append((slot, None, False))
+            elif isinstance(agg.argument, VarExpr):
+                fold.append((slot, agg.argument.var.name, agg.name != "COUNT"))
+            else:
+                return None
+        return fold
 
     def _new_accs(self) -> List[Optional[_StreamingAgg]]:
         return [
@@ -263,11 +308,7 @@ class AggregationOp(PhysicalOperator):
                 key_binding[bind_name] = value
         group_key = tuple(key_values)
         if group_key not in self._groups:
-            self._group_keys.append(group_key)
-            self._groups[group_key] = (
-                self._new_accs() if self._streaming else []
-            )
-            self._key_bindings[group_key] = key_binding
+            self._open_group(group_key, key_binding)
         if self._streaming:
             if self._stream_needs_terms and decoded is None:
                 decoded = _decode_row(member, self.runtime)
@@ -277,95 +318,169 @@ class AggregationOp(PhysicalOperator):
         else:
             self._groups[group_key].append(member)
 
-    def _next(self) -> Optional[Binding]:
-        if self._phase == "build":
-            for _ in range(BUILD_BATCH):
-                if self.child.done:
-                    if not self.keys and () not in self._groups:
-                        # Implicit single group: empty input still yields
-                        # one group (COUNT(*) = 0).
-                        self._group_keys.append(())
-                        self._groups[()] = (
-                            self._new_accs() if self._streaming else []
-                        )
-                        self._key_bindings[()] = {}
-                    self._phase = "emit"
-                    return None
-                member = self.child.next()
-                if member is None:
-                    return None
-                self._absorb(member)
-            return None
-        # emit — each group's state is released as soon as it is emitted,
-        # so suspended tokens shrink as emission proceeds.
-        while self._emit_index < len(self._group_keys):
-            group_key = self._group_keys[self._emit_index]
-            self._group_keys[self._emit_index] = None
-            self._emit_index += 1
-            group_state = self._groups.pop(group_key)
-            key_binding = self._key_bindings.pop(group_key)
-            runtime = self.runtime
-            runtime.stats.groups += 1
-            if self._streaming:
-                out: Binding = {}
-                for projection, acc in zip(self.projections, group_state):
-                    if acc is None:
-                        value = key_binding.get(projection.var.name)
-                        if value is not None:
-                            out[projection.var.name] = value
-                        continue
-                    try:
-                        value = acc.result()
-                    except ExpressionError:
-                        pass
-                    else:
-                        out[projection.var.name] = _encode_value(
-                            value, runtime
-                        )
-                runtime.stats.intermediate_bindings += 1
-                return out
-            members = group_state
-            # HAVING and the aggregate expressions run in term space:
-            # decode the group once, emit back in ID space.
-            key_terms = _decode_row(key_binding, runtime)
-            member_terms = [_decode_row(member, runtime) for member in members]
-            skip = False
-            for condition in self.having:
-                try:
-                    if not effective_boolean_value(
-                        evaluate_expression(
-                            condition, key_terms, member_terms, context=runtime
-                        )
-                    ):
-                        skip = True
-                        break
-                except ExpressionError:
-                    skip = True
-                    break
-            if skip:
-                return None
-            out = {}
-            for projection in self.projections:
-                if projection.expression is None:
-                    value = key_binding.get(projection.var.name)
-                    if value is not None:
-                        out[projection.var.name] = value
+    def _open_group(self, group_key: Tuple, key_binding: Binding) -> List:
+        self._group_keys.append(group_key)
+        state = self._groups[group_key] = (
+            self._new_accs() if self._streaming else []
+        )
+        self._key_bindings[group_key] = key_binding
+        return state
+
+    def _fold_ids(self, members: List[Binding]) -> None:
+        """Fold a block of encoded members without leaving ID space.
+
+        Same skip/poison rules as :meth:`_StreamingAgg.absorb`: an
+        unbound argument contributes nothing, a non-numeric one poisons
+        SUM/AVG — boundness is an ID test and the numeric value comes
+        from the per-execution ``id -> number`` memo.
+        """
+        groups = self._groups
+        fold = self._id_fold
+        numbers = self._numbers
+        key_names = [var_name for _, var_name, _ in self._key_specs]
+        bind_names = [bind_name for _, _, bind_name in self._key_specs]
+        for member in members:
+            get = member.get
+            group_key = tuple(map(get, key_names))
+            accs = groups.get(group_key)
+            if accs is None:
+                # The key binding is built once per group, not per member.
+                accs = self._open_group(group_key, {
+                    bind_name: value
+                    for bind_name, value in zip(bind_names, group_key)
+                    if value is not None
+                })
+            for slot, name, numeric in fold:
+                acc = accs[slot]
+                if name is None:  # COUNT(*)
+                    acc.count += 1
                     continue
+                value = get(name)
+                if value is None:
+                    continue
+                if numeric:
+                    if acc.bad:
+                        continue
+                    number = numbers.get(value)
+                    if number is None:
+                        number = self._number_of(value)
+                    if number is _NOT_A_NUMBER:
+                        acc.bad = True
+                        continue
+                    acc.total += number
+                acc.count += 1
+
+    def _number_of(self, value: int):
+        """Fill the ``id -> number`` memo for one term ID."""
+        try:
+            number = _numeric_value(self.runtime.dictionary.decode(value))
+        except ExpressionError:
+            number = _NOT_A_NUMBER
+        self._numbers[value] = number
+        return number
+
+    def _count_id(self, count: int) -> int:
+        """The term ID of an integer count, interned once per execution."""
+        value = self._count_ids.get(count)
+        if value is None:
+            value = self.runtime.dictionary.encode(_numeric_literal(count))
+            self._count_ids[count] = value
+            self._numbers[value] = count
+        return value
+
+    def _next(self, limit: int) -> List[Binding]:
+        if self._phase == "build":
+            if self.child.done:
+                if not self.keys and () not in self._groups:
+                    # Implicit single group: empty input still yields
+                    # one group (COUNT(*) = 0).
+                    self._open_group((), {})
+                self._phase = "emit"
+                return []
+            members = self.child.next(BLOCK)
+            if self._id_fold is not None:
+                self._fold_ids(members)
+            else:
+                for member in members:
+                    self._absorb(member)
+            return []
+        # emit — each group's state is released as soon as it is emitted,
+        # so suspended tokens shrink as emission proceeds.  A group gives
+        # at most one row (HAVING may reject it), so examining no more
+        # groups than rows wanted cannot overshoot.
+        start = self._emit_index
+        examined = self._group_keys[start:start + min(limit, BLOCK)]
+        self._group_keys[start:start + len(examined)] = [None] * len(examined)
+        self._emit_index = start + len(examined)
+        groups, key_bindings = self._groups, self._key_bindings
+        make_row = self._streamed_row if self._streaming else self._buffered_row
+        rows = [
+            make_row(key_bindings.pop(group_key), groups.pop(group_key))
+            for group_key in examined
+        ]
+        out = [row for row in rows if row is not None]
+        self.runtime.stats.groups += len(examined)
+        self.runtime.stats.intermediate_bindings += len(out)
+        if len(out) < limit and self._emit_index >= len(self._group_keys):
+            self.done = True
+        return out
+
+    def _streamed_row(self, key_binding: Binding, accs: List) -> Binding:
+        out: Binding = {}
+        for name, acc in zip(self._out_names, accs):
+            if acc is None:
+                value = key_binding.get(name)
+                if value is not None:
+                    out[name] = value
+            elif acc.agg.name == "COUNT":
+                out[name] = self._count_id(acc.count)
+            else:
                 try:
-                    value = evaluate_expression(
-                        projection.expression,
-                        key_terms,
-                        member_terms,
-                        context=runtime,
-                    )
+                    value = acc.result()
                 except ExpressionError:
                     pass
                 else:
-                    out[projection.var.name] = _encode_value(value, runtime)
-            runtime.stats.intermediate_bindings += 1
-            return out
-        self.done = True
-        return None
+                    out[name] = _encode_value(value, self.runtime)
+        return out
+
+    def _buffered_row(
+        self, key_binding: Binding, members: List[Binding]
+    ) -> Optional[Binding]:
+        """One buffered group's output row, or ``None`` if HAVING drops it."""
+        runtime = self.runtime
+        # HAVING and the aggregate expressions run in term space:
+        # decode the group once, emit back in ID space.
+        key_terms = _decode_row(key_binding, runtime)
+        member_terms = [_decode_row(member, runtime) for member in members]
+        for condition in self.having:
+            try:
+                if not effective_boolean_value(
+                    evaluate_expression(
+                        condition, key_terms, member_terms, context=runtime
+                    )
+                ):
+                    return None
+            except ExpressionError:
+                return None
+        out: Binding = {}
+        for projection in self.projections:
+            if projection.expression is None:
+                value = key_binding.get(projection.var.name)
+                if value is not None:
+                    out[projection.var.name] = value
+                continue
+            try:
+                value = evaluate_expression(
+                    projection.expression,
+                    key_terms,
+                    member_terms,
+                    context=runtime,
+                )
+            except ExpressionError:
+                pass
+            else:
+                out[projection.var.name] = _encode_value(value, runtime)
+        return out
 
     def _save(self) -> Dict:
         pending = []
@@ -468,7 +583,7 @@ def _order_key(conditions, binding: Binding, runtime) -> List:
 
 
 class OrderByOp(_UnaryOp):
-    """Full sort: drains its child in bounded chunks, then emits sorted."""
+    """Full sort: drains its child a block per call, then emits slices."""
 
     label = "OrderBy"
 
@@ -482,30 +597,23 @@ class OrderByOp(_UnaryOp):
     def detail(self) -> str:
         return f"{len(self.conditions)} keys"
 
-    def _next(self) -> Optional[Binding]:
+    def _next(self, limit: int) -> List[Binding]:
         if self._phase == "build":
-            for _ in range(BUILD_BATCH):
-                if self.child.done:
-                    self._buffer.sort(
-                        key=lambda binding: _order_key(
-                            self.conditions, binding, self.runtime
-                        )
+            if self.child.done:
+                self._buffer.sort(
+                    key=lambda binding: _order_key(
+                        self.conditions, binding, self.runtime
                     )
-                    self._phase = "emit"
-                    return None
-                row = self.child.next()
-                if row is None:
-                    return None
-                self._buffer.append(row)
-            return None
+                )
+                self._phase = "emit"
+            else:
+                self._buffer += self.child.next(BLOCK)
+            return []
+        rows = self._buffer[self._emit_index:self._emit_index + limit]
+        self._emit_index += len(rows)
         if self._emit_index >= len(self._buffer):
             self.done = True
-            return None
-        row = self._buffer[self._emit_index]
-        self._emit_index += 1
-        if self._emit_index >= len(self._buffer):
-            self.done = True
-        return row
+        return rows
 
     def _save(self) -> Dict:
         # Rows already emitted are never revisited, so only the pending
@@ -564,21 +672,18 @@ class TopKOp(_UnaryOp):
         self._heap = []
         self._phase = "emit"
 
-    def _next(self) -> Optional[Binding]:
+    def _next(self, limit: int) -> List[Binding]:
         bound = self.limit + self.offset
         if bound <= 0:
             self.done = True
-            return None
+            return []
         if self._phase == "build":
             from ..evaluator import _order_lt
 
-            for _ in range(BUILD_BATCH):
-                if self.child.done:
-                    self._finalize()
-                    return None
-                row = self.child.next()
-                if row is None:
-                    return None
+            if self.child.done:
+                self._finalize()
+                return []
+            for row in self.child.next(BLOCK):
                 key = _order_key(self.conditions, row, self.runtime)
                 serial = self._serial
                 self._serial += 1
@@ -588,15 +693,12 @@ class TopKOp(_UnaryOp):
                     key, serial, self._heap[0].key, self._heap[0].serial
                 ):
                     heapq.heapreplace(self._heap, _TopKEntry(key, serial, row))
-            return None
+            return []
+        rows = self._ordered[self._emit_index:self._emit_index + limit]
+        self._emit_index += len(rows)
         if self._emit_index >= len(self._ordered):
             self.done = True
-            return None
-        row = self._ordered[self._emit_index]
-        self._emit_index += 1
-        if self._emit_index >= len(self._ordered):
-            self.done = True
-        return row
+        return rows
 
     def _save(self) -> Dict:
         return {

@@ -3,7 +3,7 @@ state (de)serialisation, and the ID-space/term-space boundary helpers.
 
 Every operator module in this package builds on the uniform
 
-    ``next() -> Optional[Binding]`` / ``save() -> state`` / ``load(state)``
+    ``next(limit) -> List[Binding]`` / ``save() -> state`` / ``load(state)``
 
 protocol defined here by :class:`PhysicalOperator`; see the package
 docstring (:mod:`repro.sparql.physical`) for the full design notes.
@@ -12,7 +12,7 @@ docstring (:mod:`repro.sparql.physical`) for the full design notes.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from ...obs.metrics import REGISTRY
 from ...rdf.terms import Term
@@ -25,20 +25,17 @@ from ..functions import (
 from ..results import term_from_json, term_to_json
 
 __all__ = [
-    "BUILD_BATCH",
-    "SCAN_BATCH",
+    "BLOCK",
     "PlanStateError",
     "PhysicalOperator",
     "encode_binding",
     "decode_binding",
 ]
 
-#: Child rows pulled per ``next()`` call by blocking (build) phases.
-BUILD_BATCH = 32
-#: Scan candidates examined per ``next()`` call by a pattern scan.
-SCAN_BATCH = 64
-
-_EXHAUSTED = object()
+#: The one unit of bounded work: the most rows a ``next(limit)`` call
+#: returns, the most child rows a blocking (build) phase absorbs per
+#: call, and the most candidates a scan examines per call.
+BLOCK = 128
 
 _DECODED_TERMS = REGISTRY.counter(
     "repro_dict_decode_total",
@@ -53,6 +50,20 @@ class PlanStateError(SparqlError):
 # ----------------------------------------------------------------------
 # State encoding
 # ----------------------------------------------------------------------
+
+
+def _execution_memo(runtime, name: str) -> Dict:
+    """A memo table living as long as one plan execution.
+
+    Hung off the shared ``runtime`` so every operator of the plan sees
+    the same table; never serialised — a resumed execution starts with
+    empty memos and refills them on demand.
+    """
+    memo = getattr(runtime, name, None)
+    if memo is None:
+        memo = {}
+        setattr(runtime, name, memo)
+    return memo
 
 
 def _value_to_json(value, runtime=None):
@@ -70,9 +81,7 @@ def _value_to_json(value, runtime=None):
         # The same overlay IDs (aggregate results, BIND outputs) recur
         # in every buffered row of a suspended sort; memoise the blob
         # per execution so repeated saves don't re-decode them.
-        cache = getattr(runtime, "_overlay_blob_cache", None)
-        if cache is None:
-            cache = runtime._overlay_blob_cache = {}
+        cache = _execution_memo(runtime, "_overlay_blob_cache")
         blob = cache.get(value)
         if blob is None:
             blob = cache[value] = term_to_json(runtime.dictionary.decode(value))
@@ -163,7 +172,7 @@ def _encode_value(value, runtime):
 
 
 class PhysicalOperator:
-    """Base class: uniform ``next()/save()/load()`` with work counters.
+    """Base class: uniform ``next(limit)/save()/load()`` with work counters.
 
     ``runtime`` is the shared per-execution context — an
     :class:`repro.sparql.evaluator.Evaluator` instance whose ``graph``
@@ -174,8 +183,9 @@ class PhysicalOperator:
     non-preemptible island, as in sage).
 
     ``rows_produced`` / ``wall_s`` / ``calls`` are live observability
-    counters; ``EXPLAIN ANALYZE`` on the physical engine reads them
-    directly instead of wrapping iterators in probe spans.
+    counters (``calls`` counts ``next(limit)`` calls, each worth up to
+    :data:`BLOCK` rows); ``EXPLAIN ANALYZE`` on the physical engine
+    reads them directly instead of wrapping iterators in probe spans.
     """
 
     label = "Physical"
@@ -190,19 +200,24 @@ class PhysicalOperator:
 
     # -- protocol -------------------------------------------------------
 
-    def next(self) -> Optional[Binding]:
-        """One bounded unit of work; a row, or ``None`` (progress only)."""
+    def next(self, limit: int) -> List[Binding]:
+        """One bounded unit of work: up to ``limit`` rows (``limit >= 1``).
+
+        Never more than ``limit`` rows, so the caller's row budget is
+        never overshot and no operator has to hold rows back; an empty
+        block with ``done`` still false means the call made progress
+        (a build step, rejected candidates) but has no row yet.
+        """
         started = perf_counter()
         self.calls += 1
         try:
-            row = self._next()
+            rows = self._next(limit)
         finally:
             self.wall_s += perf_counter() - started
-        if row is not None:
-            self.rows_produced += 1
-        return row
+        self.rows_produced += len(rows)
+        return rows
 
-    def _next(self) -> Optional[Binding]:  # pragma: no cover - abstract
+    def _next(self, limit: int) -> List[Binding]:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def children(self) -> List["PhysicalOperator"]:
@@ -251,15 +266,15 @@ class _UnaryOp(PhysicalOperator):
     def children(self) -> List[PhysicalOperator]:
         return [self.child]
 
-    def _pull(self) -> Optional[Binding]:
-        """One child row, marking ``done`` when the child is exhausted."""
+    def _pull(self, limit: int) -> List[Binding]:
+        """One child block, marking ``done`` when the child is exhausted."""
         if self.child.done:
             self.done = True
-            return None
-        row = self.child.next()
-        if row is None and self.child.done:
+            return []
+        rows = self.child.next(limit)
+        if not rows and self.child.done:
             self.done = True
-        return row
+        return rows
 
     def _save(self) -> Dict:
         return {"child": self.child.save()}

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Tuple
 from ..evaluator import _JOIN_HASH, _JOIN_PRODUCT, _binding_key, _compatible, _merge
 from ..functions import Binding
 from .base import (
-    BUILD_BATCH,
+    BLOCK,
     PhysicalOperator,
     PlanStateError,
     _check_ids,
@@ -38,19 +38,17 @@ class UnionOp(PhysicalOperator):
     def detail(self) -> str:
         return f"{len(self.branches)} branches"
 
-    def _next(self) -> Optional[Binding]:
+    def _next(self, limit: int) -> List[Binding]:
         while self._index < len(self.branches):
             branch = self.branches[self._index]
             if branch.done:
                 self._index += 1
                 continue
-            row = branch.next()
-            if row is not None:
-                self.runtime.stats.intermediate_bindings += 1
-                return row
-            return None
+            rows = branch.next(limit)
+            self.runtime.stats.intermediate_bindings += len(rows)
+            return rows
         self.done = True
-        return None
+        return []
 
     def _save(self) -> Dict:
         return {
@@ -65,6 +63,28 @@ class UnionOp(PhysicalOperator):
             raise PlanStateError("union branch count mismatch")
         for branch, blob in zip(self.branches, saved):
             branch.load(blob)
+
+
+def _next_left_row(join) -> Optional[Binding]:
+    """A join's next left row — the peeked one first — or ``None``.
+
+    One row at a time: joins look at a single left row before touching
+    the right subtree (an empty left never evaluates it, the
+    evaluator's laziness), and a probe's resume state is "current probe
+    row + bucket offset", so a second probe row is never held.  ``None``
+    means no row this call; ``join.done`` is set once ``left`` is dry.
+    """
+    row = join._pending
+    if row is not None:
+        join._pending = None
+        return row
+    if not join.left.done:
+        rows = join.left.next(1)
+        if rows:
+            return rows[0]
+    if join.left.done:
+        join.done = True
+    return None
 
 
 class HashJoinOp(PhysicalOperator):
@@ -103,59 +123,57 @@ class HashJoinOp(PhysicalOperator):
             return "on " + " ".join(f"?{name}" for name in self.keys)
         return "product (no certain shared variables)"
 
-    def _next(self) -> Optional[Binding]:
+    def _next(self, limit: int) -> List[Binding]:
         if self._phase == "peek":
-            if self.left.done:
-                self.done = True
-                return None
-            row = self.left.next()
-            if row is None:
-                if self.left.done:
-                    self.done = True
-                return None
-            self._pending = row
-            self._phase = "build"
-            return None
+            self._pending = _next_left_row(self)
+            if self._pending is not None:
+                self._phase = "build"
+            return []
         if self._phase == "build":
-            for _ in range(BUILD_BATCH):
-                if self.right.done:
-                    self._phase = "probe"
-                    (_JOIN_HASH if self.keys else _JOIN_PRODUCT).inc()
-                    if not self._build_rows:
-                        self.done = True
-                    return None
-                row = self.right.next()
-                if row is None:
-                    return None
+            if self.right.done:
+                self._phase = "probe"
+                (_JOIN_HASH if self.keys else _JOIN_PRODUCT).inc()
+                if not self._build_rows:
+                    self.done = True
+                return []
+            rows = self.right.next(BLOCK)
+            for row in rows:
                 self._table.setdefault(
                     _binding_key(row, self.keys), []
                 ).append(row)
-                self._build_rows += 1
-            return None
+            self._build_rows += len(rows)
+            return []
         # probe
-        for _ in range(BUILD_BATCH):
-            if self._probe is not None:
-                if self._bucket_index < len(self._bucket):
-                    right = self._bucket[self._bucket_index]
-                    self._bucket_index += 1
-                    if _compatible(self._probe, right):
-                        self.runtime.stats.intermediate_bindings += 1
-                        return _merge(self._probe, right)
+        out: List[Binding] = []
+        budget = BLOCK  # bucket entries examined + left rows pulled
+        while budget > 0:
+            probe = self._probe
+            if probe is not None:
+                start = self._bucket_index
+                rights = self._bucket[
+                    start:start + min(limit - len(out), budget)
+                ]
+                if rights:
+                    budget -= len(rights)
+                    self._bucket_index = start + len(rights)
+                    out += [
+                        _merge(probe, right)
+                        for right in rights
+                        if _compatible(probe, right)
+                    ]
+                    if len(out) >= limit:
+                        break
                     continue
                 self._probe = None
-            row = self._pending
-            self._pending = None
+            row = _next_left_row(self)
+            budget -= 1
             if row is None:
-                if self.left.done:
-                    self.done = True
-                    return None
-                row = self.left.next()
-                if row is None:
-                    return None
+                break
             self._probe = row
             self._bucket = self._table.get(_binding_key(row, self.keys), [])
             self._bucket_index = 0
-        return None
+        self.runtime.stats.intermediate_bindings += len(out)
+        return out
 
     def _save(self) -> Dict:
         return {
@@ -238,69 +256,57 @@ class LeftJoinOp(PhysicalOperator):
             return self._table.get(_binding_key(row, self.keys), [])
         return self._all_rows
 
-    def _next(self) -> Optional[Binding]:
+    def _next(self, limit: int) -> List[Binding]:
         if self._phase == "peek":
-            if self.left.done:
-                self.done = True
-                return None
-            row = self.left.next()
-            if row is None:
-                if self.left.done:
-                    self.done = True
-                return None
-            self._pending = row
-            self._phase = "build"
-            return None
+            self._pending = _next_left_row(self)
+            if self._pending is not None:
+                self._phase = "build"
+            return []
         if self._phase == "build":
-            for _ in range(BUILD_BATCH):
-                if self.right.done:
-                    self._phase = "probe"
-                    return None
-                row = self.right.next()
-                if row is None:
-                    return None
-                self._all_rows.append(row)
-                if self.keys:
+            if self.right.done:
+                self._phase = "probe"
+                return []
+            rows = self.right.next(BLOCK)
+            self._all_rows += rows
+            if self.keys:
+                for row in rows:
                     self._table.setdefault(
                         _binding_key(row, self.keys), []
                     ).append(row)
-            return None
+            return []
         # probe
-        for _ in range(BUILD_BATCH):
-            if self._probe is not None:
+        out: List[Binding] = []
+        budget = BLOCK  # bucket entries examined + left rows pulled
+        while budget > 0 and len(out) < limit:
+            budget -= 1
+            probe = self._probe
+            if probe is not None:
                 if self._bucket_index < len(self._bucket):
                     right = self._bucket[self._bucket_index]
                     self._bucket_index += 1
-                    if not _compatible(self._probe, right):
+                    if not _compatible(probe, right):
                         continue
-                    merged = _merge(self._probe, right)
+                    merged = _merge(probe, right)
                     if self.condition is not None and not _check_ids(
                         (self.condition,), merged, self.runtime
                     ):
                         continue
                     self._matched = True
-                    self.runtime.stats.intermediate_bindings += 1
-                    return merged
-                row = self._probe
+                    out.append(merged)
+                    continue
                 self._probe = None
                 if not self._matched:
-                    self.runtime.stats.intermediate_bindings += 1
-                    return dict(row)
+                    out.append(dict(probe))
                 continue
-            row = self._pending
-            self._pending = None
+            row = _next_left_row(self)
             if row is None:
-                if self.left.done:
-                    self.done = True
-                    return None
-                row = self.left.next()
-                if row is None:
-                    return None
+                break
             self._probe = row
             self._bucket = self._bucket_for(row)
             self._bucket_index = 0
             self._matched = False
-        return None
+        self.runtime.stats.intermediate_bindings += len(out)
+        return out
 
     def _save(self) -> Dict:
         return {
@@ -363,31 +369,31 @@ class MinusOp(PhysicalOperator):
     def children(self) -> List[PhysicalOperator]:
         return [self.left, self.right]
 
-    def _next(self) -> Optional[Binding]:
+    def _next(self, limit: int) -> List[Binding]:
         if self._phase == "build":
-            for _ in range(BUILD_BATCH):
-                if self.right.done:
-                    self._phase = "probe"
-                    return None
-                row = self.right.next()
-                if row is None:
-                    return None
-                self._rows.append(row)
-            return None
+            if self.right.done:
+                self._phase = "probe"
+            else:
+                self._rows += self.right.next(BLOCK)
+            return []
         if self.left.done:
             self.done = True
-            return None
-        left = self.left.next()
-        if left is None:
-            if self.left.done:
-                self.done = True
-            return None
+            return []
+        # A left row passes or is dropped on its own — no per-row resume
+        # state — so the streaming side comes a block at a time.
+        lefts = self.left.next(limit)
+        if not lefts and self.left.done:
+            self.done = True
+        out = [left for left in lefts if not self._excluded(left)]
+        self.runtime.stats.intermediate_bindings += len(out)
+        return out
+
+    def _excluded(self, left: Binding) -> bool:
         for right in self._rows:
             shared = left.keys() & right.keys()
             if shared and all(left[name] == right[name] for name in shared):
-                return None
-        self.runtime.stats.intermediate_bindings += 1
-        return left
+                return True
+        return False
 
     def _save(self) -> Dict:
         return {

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ...obs.metrics import REGISTRY
 from ..functions import Binding
-from .base import PhysicalOperator, _UnaryOp
+from .base import BLOCK, PhysicalOperator, _UnaryOp
 
 __all__ = ["MaterializeOp", "drain"]
 
@@ -29,23 +29,22 @@ class MaterializeOp(_UnaryOp):
 
     label = "Materialize"
 
-    def _next(self) -> Optional[Binding]:
-        row = self._pull()
-        if row is None:
-            return None
+    def _next(self, limit: int) -> List[Binding]:
+        rows = self._pull(limit)
         decode = self.runtime.dictionary.decode
-        _MATERIALIZED_ROWS.inc()
-        return {
-            name: decode(value) if isinstance(value, int) else value
-            for name, value in row.items()
-        }
+        _MATERIALIZED_ROWS.inc(len(rows))
+        return [
+            {
+                name: decode(value) if isinstance(value, int) else value
+                for name, value in row.items()
+            }
+            for row in rows
+        ]
 
 
 def drain(op: PhysicalOperator) -> List[Binding]:
     """Run an operator tree to completion and return every row."""
     rows: List[Binding] = []
     while not op.done:
-        row = op.next()
-        if row is not None:
-            rows.append(row)
+        rows += op.next(BLOCK)
     return rows

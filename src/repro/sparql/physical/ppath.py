@@ -27,7 +27,7 @@ from ..ast import TriplePatternNode, Var
 from ..functions import Binding
 from ..paths import build_pair_iterator, closure_stats, lower_path
 from .base import (
-    SCAN_BATCH,
+    BLOCK,
     PhysicalOperator,
     _check_ids,
     _value_from_json,
@@ -141,8 +141,9 @@ class PathScanOp(PhysicalOperator):
                     return None
         return binding
 
-    def _next(self) -> Optional[Binding]:
-        for _ in range(SCAN_BATCH):
+    def _next(self, limit: int) -> List[Binding]:
+        out: List[Binding] = []
+        for _ in range(BLOCK):  # pair-iterator steps + outer rows pulled
             if self._pairs is not None:
                 if self._pairs.done:
                     self._finish_path()
@@ -151,7 +152,7 @@ class PathScanOp(PhysicalOperator):
                 if pair is None:
                     # Progress without a result — a frontier expansion,
                     # a filtered candidate.  Bounded, so fall through to
-                    # the next batch slot rather than spinning the full
+                    # the next slot rather than spinning the full
                     # traversal inside one call.
                     continue
                 row = self._extend(pair)
@@ -159,20 +160,24 @@ class PathScanOp(PhysicalOperator):
                     continue
                 self.runtime.stats.intermediate_bindings += 1
                 if _check_ids(self.post_filters, row, self.runtime):
-                    return row
+                    out.append(row)
+                    if len(out) >= limit:
+                        break
                 continue
             if self.child.done:
                 self.done = True
-                return None
-            outer = self.child.next()
-            if outer is None:
-                return None
+                break
+            # One outer row at a time: the traversal state saved with
+            # the token belongs to exactly one current outer row.
+            outer = self.child.next(1)
+            if not outer:
+                break
             if self.pre_filters and not _check_ids(
-                self.pre_filters, outer, self.runtime
+                self.pre_filters, outer[0], self.runtime
             ):
                 continue
-            self._start_path(outer)
-        return None
+            self._start_path(outer[0])
+        return out
 
     # -- suspension -----------------------------------------------------
 

@@ -1,5 +1,6 @@
-"""Row-at-a-time operators: FILTER, BIND, projection, DISTINCT/REDUCED,
-and OFFSET/LIMIT slicing."""
+"""Streaming per-row operators: FILTER, BIND, projection,
+DISTINCT/REDUCED, and OFFSET/LIMIT slicing — each maps one child block
+to at most as many output rows."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import ExpressionError, SparqlEvalError
 from ..functions import Binding, evaluate_expression
 from .base import (
+    BLOCK,
     _UnaryOp,
     _check_ids,
     _decode_row,
@@ -38,14 +40,14 @@ class FilterOp(_UnaryOp):
     def detail(self) -> str:
         return "condition"
 
-    def _next(self) -> Optional[Binding]:
-        row = self._pull()
-        if row is None:
-            return None
-        if _check_ids((self.condition,), row, self.runtime):
-            self.runtime.stats.intermediate_bindings += 1
-            return row
-        return None
+    def _next(self, limit: int) -> List[Binding]:
+        conditions = (self.condition,)
+        rows = [
+            row for row in self._pull(limit)
+            if _check_ids(conditions, row, self.runtime)
+        ]
+        self.runtime.stats.intermediate_bindings += len(rows)
+        return rows
 
 
 class ExtendOp(_UnaryOp):
@@ -61,10 +63,11 @@ class ExtendOp(_UnaryOp):
     def detail(self) -> str:
         return f"BIND ?{self.var.name}"
 
-    def _next(self) -> Optional[Binding]:
-        row = self._pull()
-        if row is None:
-            return None
+    def _next(self, limit: int) -> List[Binding]:
+        rows = self._pull(limit)
+        return [self._bind(row) for row in rows]
+
+    def _bind(self, row: Binding) -> Binding:
         if self.var.name in row:
             raise SparqlEvalError(f"BIND would rebind ?{self.var.name}")
         out = dict(row)
@@ -99,12 +102,13 @@ class ProjectOp(_UnaryOp):
             return "*"
         return " ".join(f"?{var.name}" for var in self.variables)
 
-    def _next(self) -> Optional[Binding]:
-        row = self._pull()
-        if row is None:
-            return None
+    def _next(self, limit: int) -> List[Binding]:
+        rows = self._pull(limit)
         if self.variables is None:
-            return row
+            return rows
+        return [self._project(row) for row in rows]
+
+    def _project(self, row: Binding) -> Binding:
         out: Binding = {}
         decoded = None  # lazily materialized, only if an extension runs
         for var in self.variables:
@@ -164,15 +168,14 @@ class DistinctOp(_UnaryOp):
         self._order = _KeyOrder()
         self._seen: set = set()
 
-    def _next(self) -> Optional[Binding]:
-        row = self._pull()
-        if row is None:
-            return None
-        key = self._order.key(row)
-        if key in self._seen:
-            return None
-        self._seen.add(key)
-        return row
+    def _next(self, limit: int) -> List[Binding]:
+        out = []
+        for row in self._pull(limit):
+            key = self._order.key(row)
+            if key not in self._seen:
+                self._seen.add(key)
+                out.append(row)
+        return out
 
     def _save(self) -> Dict:
         return {
@@ -204,15 +207,14 @@ class ReducedOp(_UnaryOp):
         self._order = _KeyOrder()
         self._previous: Optional[Tuple] = None
 
-    def _next(self) -> Optional[Binding]:
-        row = self._pull()
-        if row is None:
-            return None
-        key = self._order.key(row)
-        if key == self._previous:
-            return None
-        self._previous = key
-        return row
+    def _next(self, limit: int) -> List[Binding]:
+        out = []
+        for row in self._pull(limit):
+            key = self._order.key(row)
+            if key != self._previous:
+                self._previous = key
+                out.append(row)
+        return out
 
     def _save(self) -> Dict:
         return {
@@ -258,20 +260,24 @@ class SliceOp(_UnaryOp):
             parts.append(f"limit {self.limit}")
         return " ".join(parts)
 
-    def _next(self) -> Optional[Binding]:
-        if self.limit is not None and self._emitted >= self.limit:
-            self.done = True
-            return None
-        row = self._pull()
-        if row is None:
-            return None
+    def _next(self, limit: int) -> List[Binding]:
+        if self.limit is not None:
+            limit = min(limit, self.limit - self._emitted)
+            if limit <= 0:
+                self.done = True
+                return []
         if self._skipped < self.offset:
-            self._skipped += 1
-            return None
-        self._emitted += 1
+            # Skipped rows are never emitted, so they may come a full
+            # block at a time whatever the caller's row budget is.
+            self._skipped += len(
+                self._pull(min(BLOCK, self.offset - self._skipped))
+            )
+            return []
+        rows = self._pull(limit)
+        self._emitted += len(rows)
         if self.limit is not None and self._emitted >= self.limit:
             self.done = True
-        return row
+        return rows
 
     def _save(self) -> Dict:
         return {

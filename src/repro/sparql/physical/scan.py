@@ -3,13 +3,13 @@ nested-loop pattern scan that anchors every BGP."""
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional
 
 from ..ast import TriplePatternNode, Var
 from ..functions import Binding
 from .base import (
-    SCAN_BATCH,
-    _EXHAUSTED,
+    BLOCK,
     PhysicalOperator,
     _check,
     _check_ids,
@@ -30,14 +30,14 @@ class SingletonOp(PhysicalOperator):
         self.guards = tuple(guards)
         self._emitted = False
 
-    def _next(self) -> Optional[Binding]:
+    def _next(self, limit: int) -> List[Binding]:
         self.done = True
         if self._emitted:
-            return None
+            return []
         self._emitted = True
         if not _check(self.guards, {}, self.runtime):
-            return None
-        return {}
+            return []
+        return [{}]
 
     def _save(self) -> Dict:
         return {"emitted": self._emitted}
@@ -67,21 +67,20 @@ class ValuesOp(PhysicalOperator):
         names = " ".join(f"?{var.name}" for var in self.variables)
         return f"{len(self.rows)} rows over {names}"
 
-    def _next(self) -> Optional[Binding]:
+    def _next(self, limit: int) -> List[Binding]:
+        rows = self.rows[self._offset:self._offset + limit]
+        self._offset += len(rows)
         if self._offset >= len(self.rows):
             self.done = True
-            return None
-        row = self.rows[self._offset]
-        self._offset += 1
-        if self._offset >= len(self.rows):
-            self.done = True
-        binding = {
-            var.name: value
-            for var, value in zip(self.variables, row)
-            if value is not None
-        }
-        self.runtime.stats.intermediate_bindings += 1
-        return binding
+        self.runtime.stats.intermediate_bindings += len(rows)
+        return [
+            {
+                var.name: value
+                for var, value in zip(self.variables, row)
+                if value is not None
+            }
+            for row in rows
+        ]
 
     def _save(self) -> Dict:
         return {"offset": self._offset}
@@ -116,9 +115,16 @@ class PatternScanOp(PhysicalOperator):
         self.pattern = pattern
         self.pre_filters = tuple(pre_filters)
         self.post_filters = tuple(post_filters)
+        # Per position: (variable name, None) or (None, constant ID).  A
+        # constant the dictionary has never interned becomes the
+        # impossible ID ``-1``, which matches nothing but still routes
+        # through the normal index branch (identical lookup metrics).
+        self._slots = tuple(self._slot(term) for term in pattern)
         self._current: Optional[Binding] = None
         self._matches = None
         self._offset = 0
+        self._open: List = []  # (variable, position) a candidate fills
+        self._repeats: List = []  # position pairs that must agree
 
     def children(self) -> List[PhysicalOperator]:
         return [self.child]
@@ -134,71 +140,100 @@ class PatternScanOp(PhysicalOperator):
 
     # -- scanning -------------------------------------------------------
 
-    @staticmethod
-    def _instantiate_id(term, binding: Binding, lookup):
-        """Pattern position → ID-space scan argument.
-
-        A variable resolves to its bound ID (or ``None`` = wildcard); a
-        constant the dictionary has never interned becomes the
-        impossible ID ``-1``, which matches nothing but still routes
-        through the normal index branch (identical lookup metrics).
-        """
+    def _slot(self, term):
         if isinstance(term, Var):
-            return binding.get(term.name)
-        id = lookup(term)
-        return -1 if id is None else id
+            return term.name, None
+        id = self.runtime.dictionary.lookup(term)
+        return None, -1 if id is None else id
 
     def _start_scan(self, binding: Binding) -> None:
-        graph = self.runtime.graph
+        """Issue the index scan for one outer binding.
+
+        A variable resolves to its bound ID, or to ``None`` (wildcard)
+        and an *open* position the candidates fill in.  A variable the
+        binding fixes is part of the index key, so every candidate
+        already agrees with it; only a variable repeated among the open
+        positions needs a per-candidate check.
+        """
         self._current = binding
         self._offset = 0
         self.runtime.stats.pattern_scans += 1
-        pattern = self.pattern
-        lookup = self.runtime.dictionary.lookup
-        s = self._instantiate_id(pattern.subject, binding, lookup)
-        p = self._instantiate_id(pattern.predicate, binding, lookup)
-        o = self._instantiate_id(pattern.object, binding, lookup)
-        self._matches = graph.triples_ids(s, p, o)
+        args = []
+        self._open = []
+        self._repeats = []
+        for position, (name, constant) in enumerate(self._slots):
+            if name is None:
+                args.append(constant)
+                continue
+            value = binding.get(name)
+            args.append(value)
+            if value is None:
+                for seen, first in self._open:
+                    if seen == name:
+                        self._repeats.append((first, position))
+                        break
+                else:
+                    self._open.append((name, position))
+        self._matches = self.runtime.graph.triples_ids(*args)
 
-    def _extend(self, candidate) -> Optional[Binding]:
-        binding = dict(self._current)
-        for term, value in zip(self.pattern, candidate):
-            if isinstance(term, Var):
-                existing = binding.get(term.name)
-                if existing is None:
-                    binding[term.name] = value
-                elif existing != value:
-                    return None
-        return binding
+    def _extend(self, candidates) -> List[Binding]:
+        """Merge a candidate slice into the current outer binding."""
+        current = self._current
+        for first, again in self._repeats:
+            candidates = [c for c in candidates if c[first] == c[again]]
+        open_positions = self._open
+        if len(open_positions) == 1:
+            ((a, i),) = open_positions
+            return [{**current, a: c[i]} for c in candidates]
+        if len(open_positions) == 2:
+            (a, i), (b, j) = open_positions
+            return [{**current, a: c[i], b: c[j]} for c in candidates]
+        if open_positions:
+            (a, i), (b, j), (d, k) = open_positions
+            return [{**current, a: c[i], b: c[j], d: c[k]} for c in candidates]
+        return [dict(current) for _ in candidates]
 
-    def _next(self) -> Optional[Binding]:
-        for _ in range(SCAN_BATCH):
+    def _next(self, limit: int) -> List[Binding]:
+        out: List[Binding] = []
+        budget = BLOCK  # candidates examined + outer rows pulled
+        while budget > 0:
             if self._matches is not None:
-                candidate = next(self._matches, _EXHAUSTED)
-                if candidate is _EXHAUSTED:
+                # Never more candidates than rows still wanted: each
+                # yields at most one row, so the block cannot overshoot
+                # and the saved offset is exactly "everything examined".
+                want = min(limit - len(out), budget)
+                candidates = list(islice(self._matches, want))
+                budget -= len(candidates) or 1
+                self._offset += len(candidates)
+                rows = self._extend(candidates)
+                self.runtime.stats.intermediate_bindings += len(rows)
+                if self.post_filters:
+                    rows = [
+                        row for row in rows
+                        if _check_ids(self.post_filters, row, self.runtime)
+                    ]
+                out += rows
+                if len(candidates) < want:  # this outer row is done
                     self._matches = None
                     self._current = None
-                    continue
-                self._offset += 1
-                row = self._extend(candidate)
-                if row is None:
-                    continue
-                self.runtime.stats.intermediate_bindings += 1
-                if _check_ids(self.post_filters, row, self.runtime):
-                    return row
+                if len(out) >= limit:
+                    break
                 continue
             if self.child.done:
                 self.done = True
-                return None
-            outer = self.child.next()
-            if outer is None:
-                return None
+                break
+            # One outer row at a time: the resume state is "current
+            # outer row + offset", so no second outer row may be held.
+            outer = self.child.next(1)
+            budget -= 1
+            if not outer:
+                break
             if self.pre_filters and not _check_ids(
-                self.pre_filters, outer, self.runtime
+                self.pre_filters, outer[0], self.runtime
             ):
                 continue
-            self._start_scan(outer)
-        return None
+            self._start_scan(outer[0])
+        return out
 
     # -- suspension -----------------------------------------------------
 
@@ -225,7 +260,5 @@ class PatternScanOp(PhysicalOperator):
             self._start_scan(binding)
             # _start_scan re-bills the scan; resume must not double-count.
             self.runtime.stats.pattern_scans -= 1
-            for _ in range(offset):
-                if next(self._matches, _EXHAUSTED) is _EXHAUSTED:
-                    break
+            next(islice(self._matches, offset, offset), None)  # skip
             self._offset = offset

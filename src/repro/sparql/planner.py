@@ -260,7 +260,7 @@ class PhysicalPlan:
     ``root`` is the physical operator tree; ``runtime`` is the shared
     execution context (an :class:`Evaluator` providing the graph, the
     :class:`EvalStats` counters, and EXISTS support).  The executor
-    drives ``root.next()`` and uses :meth:`save`/:meth:`load` to move
+    drives ``root.next(limit)`` and uses :meth:`save`/:meth:`load` to move
     the whole execution across suspension points.
     """
 
@@ -313,7 +313,7 @@ class PhysicalPlanFactory:
         inner = compile_node(root_node)
         # The operator tree executes in ID space; mount the single
         # late-materialization boundary at the root so consumers of
-        # plan.root.next() receive ordinary term bindings.
+        # plan.root.next(limit) receive ordinary term bindings.
         self.make_root = lambda runtime: MaterializeOp(runtime, inner(runtime))
         self.variables: List[str] = (
             [] if self.is_ask else result_variables(query, algebra)

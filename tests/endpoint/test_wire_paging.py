@@ -174,6 +174,68 @@ class TestWirePaging:
             )
 
 
+#: Budgets that leave a quantum no room to run (ROADMAP item 5: they
+#: fail typed at every surface — never a one-row page, never a spin).
+BAD_BUDGETS = [
+    {"page_size": 0},
+    {"page_size": -3},
+    {"page_size": 2.5},
+    {"quantum_ms": 0},
+    {"quantum_ms": -1.0},
+    {"quantum_ms": float("nan")},
+    {"page_size": 5, "quantum_ms": 0.0},
+]
+
+
+class TestInvalidBudgetsAreRefusedTyped:
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_local_endpoint(self, philosophy_endpoint, budget):
+        from repro.sparql import InvalidBudgetError
+
+        with pytest.raises(InvalidBudgetError):
+            philosophy_endpoint.query(ALL_TRIPLES, **budget)
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_local_endpoint_on_a_continuation(self, philosophy_graph, budget):
+        from repro.sparql import InvalidBudgetError
+
+        endpoint = LocalEndpoint(philosophy_graph)
+        first = endpoint.query(ALL_TRIPLES, page_size=4)
+        with pytest.raises(InvalidBudgetError):
+            endpoint.query(continuation=first.continuation, **budget)
+        # The refusal cost the client nothing: the token still resumes.
+        rows = list(first.result.rows)
+        response = first
+        while not response.complete:
+            response = endpoint.query(
+                continuation=response.continuation, page_size=4
+            )
+            rows.extend(response.result.rows)
+        assert _multiset(rows) == _multiset(
+            endpoint.query(ALL_TRIPLES).result.rows
+        )
+
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_server_answers_400_and_client_reraises_typed(
+        self, philosophy_graph, budget
+    ):
+        from repro.sparql import InvalidBudgetError
+
+        server = SimulatedVirtuosoServer(philosophy_graph)
+        response = server.handle(
+            encode_request(server.url, ALL_TRIPLES, **budget)
+        )
+        assert response.status == 400
+        assert response.body.startswith("InvalidBudgetError: ")
+        with pytest.raises(InvalidBudgetError):
+            RemoteEndpoint(server).query(ALL_TRIPLES, **budget)
+
+    def test_it_is_a_sparql_error(self):
+        from repro.sparql import InvalidBudgetError
+
+        assert issubclass(InvalidBudgetError, SparqlError)
+
+
 class _LegacyEndpoint:
     """An endpoint whose query() predates the paging keywords."""
 

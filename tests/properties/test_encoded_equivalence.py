@@ -6,7 +6,14 @@ pin the equivalence down: on random graphs and random queries, the
 physical engine (encoded) must produce exactly the rows, the order, and
 the ``EvalStats`` of the recursive evaluator (term space) — including
 when execution is suspended at random points via ``run_quantum`` and
-restored from a serialised continuation token."""
+restored from a serialised continuation token.
+
+The aggregation operator has two folds — an ID-space kernel for the
+chart shape (plain-variable keys; ``COUNT(*)`` / ``COUNT(?v)`` /
+``SUM(?v)`` / ``AVG(?v)``) and the generic per-member fold for
+everything else.  ``_AGGREGATE_SHAPES`` hits both, often in one query,
+and the kernel is checked against the generic fold (forced) *and* the
+evaluator: rows, order and ``EvalStats``."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +30,10 @@ from repro.sparql.executor import (
 )
 from repro.sparql.optimizer import optimize
 from repro.sparql.parser import parse_query
+from repro.sparql.physical import AggregationOp
 from repro.sparql.planner import PhysicalPlanFactory
+
+from .paging import page_sizes, run_paged, schedules, wide_graphs
 
 EX = "http://ex.org/"
 
@@ -128,7 +138,7 @@ def test_encoded_execution_matches_term_execution(graph, text):
     assert _stats_tuple(plan.stats) == _stats_tuple(evaluator.stats)
 
 
-@given(dense_graphs(), queries(), st.integers(min_value=1, max_value=5))
+@given(dense_graphs(), queries(), page_sizes(5))
 @settings(max_examples=50, deadline=None)
 def test_suspended_encoded_execution_matches_term_execution(
     graph, text, page_size
@@ -159,3 +169,108 @@ def test_suspended_encoded_execution_matches_term_execution(
     assert rows == expected.rows
     assert bindings == evaluator.stats.intermediate_bindings
     assert scans == evaluator.stats.pattern_scans
+
+
+@given(wide_graphs(_SUBJECTS, _PREDS, _OBJECTS), queries(), schedules())
+@settings(max_examples=30, deadline=None)
+def test_block_boundary_suspensions_match_term_execution(graph, text, schedule):
+    """Graphs wide enough to cross block boundaries, suspended at
+    BLOCK-1 / BLOCK / BLOCK+1 rows and after single block steps
+    (an aggregation with part of a block absorbed, a scan in the middle
+    of an outer row's candidates)."""
+    query, algebra = _compile(graph, text)
+    evaluator = Evaluator(graph)
+    expected = evaluator.run_translated(query, algebra)
+
+    factory = PhysicalPlanFactory(query, algebra)
+    rows, stats, _ = run_paged(factory, graph, text, schedule)
+
+    assert rows == expected.rows
+    assert _stats_tuple(stats) == _stats_tuple(evaluator.stats)
+
+
+_P0, _P1, _P2 = (pred.n3() for pred in _PREDS)
+#: ``?v`` is OPTIONAL (unbound for some members) and ranges over URIs
+#: and integers (non-numeric for some members): SUM/AVG skip the first
+#: and are poisoned by the second.
+_MEMBERS = f"?s {_P0} ?o . OPTIONAL {{ ?s {_P1} ?v }}"
+_AGGREGATE_SHAPES = [
+    # ID-space fold, every aggregate it covers.
+    f"SELECT ?s (COUNT(*) AS ?n) (COUNT(?v) AS ?c) (SUM(?v) AS ?t) "
+    f"(AVG(?v) AS ?m) WHERE {{ {_MEMBERS} }} GROUP BY ?s",
+    # ...keyed on the sometimes-unbound variable, aliased.
+    f"SELECT ?k (COUNT(*) AS ?n) (SUM(?o) AS ?t) "
+    f"WHERE {{ {_MEMBERS} }} GROUP BY (?v AS ?k)",
+    # ...implicit single group.
+    f"SELECT (COUNT(*) AS ?n) (SUM(?v) AS ?t) WHERE {{ {_MEMBERS} }}",
+    # Generic streaming fold: one MIN sends the whole operator there.
+    f"SELECT ?s (COUNT(*) AS ?n) (SUM(?v) AS ?t) (MIN(?v) AS ?lo) "
+    f"(MAX(?o) AS ?hi) WHERE {{ {_MEMBERS} }} GROUP BY ?s",
+    # ...an expression argument, an expression key.
+    f"SELECT ?s (SUM(?v + 1) AS ?t) WHERE {{ {_MEMBERS} }} GROUP BY ?s",
+    f"SELECT ?k (COUNT(*) AS ?n) (SUM(?v) AS ?t) "
+    f"WHERE {{ {_MEMBERS} }} GROUP BY (STR(?s) AS ?k)",
+    # Buffered groups: DISTINCT, HAVING.
+    f"SELECT ?s (COUNT(DISTINCT ?v) AS ?d) (COUNT(*) AS ?n) "
+    f"WHERE {{ {_MEMBERS} }} GROUP BY ?s",
+    f"SELECT ?s (COUNT(*) AS ?n) WHERE {{ {_MEMBERS} }} "
+    f"GROUP BY ?s HAVING (COUNT(*) > 2)",
+    # The chart (Fig. 4): the outer fold reads the inner COUNT(*) back.
+    "SELECT ?p (COUNT(?p) AS ?count) (SUM(?sp) AS ?triples) WHERE { "
+    "{ SELECT ?s ?p (COUNT(*) AS ?sp) WHERE { ?s ?p ?o } GROUP BY ?s ?p } "
+    "} GROUP BY ?p ORDER BY DESC(?count)",
+    # Both folds in one query: generic / buffered outer over a kernel inner.
+    "SELECT ?p (SUM(?sp) AS ?triples) (MIN(?sp) AS ?least) "
+    "(COUNT(DISTINCT ?sp) AS ?kinds) WHERE { "
+    "{ SELECT ?s ?p (COUNT(*) AS ?sp) (SUM(?o) AS ?t) WHERE { ?s ?p ?o } "
+    "GROUP BY ?s ?p } } GROUP BY ?p ORDER BY ?p",
+    # ...and the other way round: kernel outer over a generic inner.
+    "SELECT ?s (COUNT(*) AS ?n) (SUM(?lo) AS ?t) (AVG(?lo) AS ?m) WHERE { "
+    "{ SELECT ?s ?p (MIN(?o) AS ?lo) WHERE { ?s ?p ?o } GROUP BY ?s ?p } "
+    "} GROUP BY ?s",
+]
+
+
+def _aggregations(plan):
+    return [op for op in plan.root.walk() if isinstance(op, AggregationOp)]
+
+
+def test_aggregate_shapes_cover_both_folds():
+    graph = Graph([(_SUBJECTS[0], _PREDS[0], _OBJECTS[0])])
+    kernel, generic, mixed = 0, 0, 0
+    for text in _AGGREGATE_SHAPES:
+        plan = PhysicalPlanFactory(*_compile(graph, text)).instantiate(graph)
+        folds = {op._id_fold is not None for op in _aggregations(plan)}
+        kernel += folds == {True}
+        generic += folds == {False}
+        mixed += folds == {True, False}
+    assert kernel >= 3 and generic >= 3 and mixed >= 2
+
+
+@given(
+    st.one_of(dense_graphs(), wide_graphs(_SUBJECTS, _PREDS, _OBJECTS)),
+    st.sampled_from(_AGGREGATE_SHAPES),
+    schedules(),
+)
+@settings(max_examples=60, deadline=None)
+def test_id_space_fold_matches_generic_fold_and_evaluator(graph, text, schedule):
+    """fold ≡ fallback ≡ evaluator — one-shot and suspended mid-build."""
+    query, algebra = _compile(graph, text)
+    evaluator = Evaluator(graph)
+    expected = evaluator.run_translated(query, algebra)
+    factory = PhysicalPlanFactory(query, algebra)
+
+    kernel = factory.instantiate(graph)
+    actual = run_to_completion(kernel)
+    assert actual.rows == expected.rows  # values AND order
+    assert _stats_tuple(kernel.stats) == _stats_tuple(evaluator.stats)
+
+    fallback = factory.instantiate(graph)
+    for op in _aggregations(fallback):
+        op._id_fold = None  # force the generic per-member fold
+    assert run_to_completion(fallback).rows == expected.rows
+    assert _stats_tuple(fallback.stats) == _stats_tuple(evaluator.stats)
+
+    rows, stats, _ = run_paged(factory, graph, text, schedule)
+    assert rows == expected.rows
+    assert _stats_tuple(stats) == _stats_tuple(evaluator.stats)

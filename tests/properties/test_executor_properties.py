@@ -1,7 +1,10 @@
 """Property tests for the suspendable executor: paging a query through
 continuation tokens — suspending at random page sizes, serialising the
 token at every boundary — must reproduce the one-shot answer exactly
-(rows, order, and work counters) on random graphs and random queries."""
+(rows, order, and work counters) on random graphs and random queries.
+Row budgets include the block boundary (1, BLOCK-1, BLOCK, BLOCK+1) and,
+on graphs wide enough to cross it, deadlines that suspend after every
+single block step (mid-build, mid-outer-row)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,8 @@ from repro.sparql.executor import (
     run_to_completion,
 )
 from repro.sparql.planner import build_physical_plan
+
+from .paging import page_sizes, run_paged, schedules, stats_tuple, wide_graphs
 
 _VARS = [Var("a"), Var("b"), Var("c")]
 _TERMS = [URI(f"http://ex.org/t{i}") for i in range(4)]
@@ -93,11 +98,7 @@ def _canonical(rows):
     ]
 
 
-@given(
-    dense_graphs(),
-    select_queries(),
-    st.integers(min_value=1, max_value=6),
-)
+@given(dense_graphs(), select_queries(), page_sizes(6))
 @settings(max_examples=80, deadline=None)
 def test_paged_run_equals_one_shot(graph, query, page_size):
     expected_plan = build_physical_plan(graph, query)
@@ -128,11 +129,7 @@ def test_paged_run_equals_one_shot(graph, query, page_size):
     assert bindings == expected_plan.stats.intermediate_bindings
 
 
-@given(
-    dense_graphs(),
-    select_queries(),
-    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8),
-)
+@given(dense_graphs(), select_queries(), st.lists(page_sizes(9), min_size=1, max_size=8))
 @settings(max_examples=40, deadline=None)
 def test_varying_page_sizes_between_resumes(graph, query, sizes):
     """The page size may change between resumes (a client is free to
@@ -155,3 +152,19 @@ def test_varying_page_sizes_between_resumes(graph, query, sizes):
         raise AssertionError("paged execution did not terminate")
 
     assert _canonical(rows) == _canonical(expected.rows)
+
+
+@given(wide_graphs(_TERMS, _PREDS, _TERMS), select_queries(), schedules())
+@settings(max_examples=40, deadline=None)
+def test_block_boundary_suspensions_equal_one_shot(graph, query, schedule):
+    """Hundreds of rows, so row budgets of BLOCK-1 / BLOCK / BLOCK+1 cut
+    real pages and one-step deadlines land inside scans (mid-outer-row)
+    and sorts (mid-build): rows, order and work counters still match."""
+    expected_plan = build_physical_plan(graph, query)
+    expected = run_to_completion(expected_plan)
+
+    factory = build_physical_plan(graph, query).factory
+    rows, stats, _ = run_paged(factory, graph, query, schedule)
+
+    assert _canonical(rows) == _canonical(expected.rows)  # order too
+    assert stats_tuple(stats) == stats_tuple(expected_plan.stats)

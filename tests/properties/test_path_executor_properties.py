@@ -26,6 +26,8 @@ from repro.sparql.executor import (
 )
 from repro.sparql.planner import build_physical_plan
 
+from .paging import page_sizes, run_paged, schedules, stats_tuple
+
 _TERMS = [URI(f"http://ex.org/t{i}") for i in range(5)]
 _P = "<http://ex.org/p>"
 _Q = "<http://ex.org/q>"
@@ -72,11 +74,7 @@ def _canonical(rows):
     ]
 
 
-@given(
-    path_graphs(),
-    st.sampled_from(_PATH_QUERIES),
-    st.integers(min_value=1, max_value=6),
-)
+@given(path_graphs(), st.sampled_from(_PATH_QUERIES), page_sizes(6))
 @settings(max_examples=80, deadline=None)
 def test_paged_path_query_equals_one_shot(graph, query, page_size):
     expected_plan = build_physical_plan(graph, query)
@@ -105,11 +103,38 @@ def test_paged_path_query_equals_one_shot(graph, query, page_size):
     assert bindings == expected_plan.stats.intermediate_bindings
 
 
-@given(
-    path_graphs(),
-    st.sampled_from(_PATH_QUERIES),
-    st.integers(min_value=1, max_value=5),
-)
+@st.composite
+def wide_path_graphs(draw) -> Graph:
+    """Sixteen nodes, a few dozen edges: closures of a few hundred
+    pairs, so a traversal crosses block boundaries."""
+    import random
+
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nodes = [URI(f"http://ex.org/t{i}") for i in range(16)]
+    preds = [URI("http://ex.org/p"), URI("http://ex.org/q")]
+    graph = Graph()
+    with graph.bulk():
+        for _ in range(rng.randint(20, 48)):
+            graph.add(rng.choice(nodes), rng.choice(preds), rng.choice(nodes))
+    return graph
+
+
+@given(wide_path_graphs(), st.sampled_from(_PATH_QUERIES), schedules())
+@settings(max_examples=40, deadline=None)
+def test_block_boundary_suspensions_of_path_queries(graph, query, schedule):
+    """Row budgets of BLOCK-1 / BLOCK / BLOCK+1 and one-step deadlines
+    (a PathScan suspended mid-frontier with part of a block emitted)."""
+    expected_plan = build_physical_plan(graph, query)
+    expected = run_to_completion(expected_plan)
+
+    factory = build_physical_plan(graph, query).factory
+    rows, stats, _ = run_paged(factory, graph, query, schedule)
+
+    assert _canonical(rows) == _canonical(expected.rows)  # order too
+    assert stats_tuple(stats) == stats_tuple(expected_plan.stats)
+
+
+@given(path_graphs(), st.sampled_from(_PATH_QUERIES), page_sizes(5))
 @settings(max_examples=25, deadline=None)
 def test_path_tokens_transfer_between_snapshot_mmaps(graph, query, page_size):
     """Alternate every page between two independent opens of the same

@@ -27,6 +27,8 @@ from repro.sparql.optimizer import optimize
 from repro.sparql.parser import parse_query
 from repro.sparql.planner import PhysicalPlanFactory
 
+from .paging import page_sizes, run_paged, schedules, wide_graphs
+
 EX = "http://ex.org/"
 
 _SUBJECTS = [URI(EX + f"s{i}") for i in range(4)] + [BNode("b0"), BNode("b1")]
@@ -172,7 +174,7 @@ def test_snapshot_execution_matches_memory_execution(graph, text):
     assert actual.rows == expected.rows  # values AND order
 
 
-@given(dense_graphs(), queries(), st.integers(min_value=1, max_value=5))
+@given(dense_graphs(), queries(), page_sizes(5))
 @settings(max_examples=40, deadline=None)
 def test_suspended_snapshot_execution_matches_memory_execution(
     graph, text, page_size
@@ -198,3 +200,25 @@ def test_suspended_snapshot_execution_matches_memory_execution(
         raise AssertionError("paged execution did not terminate")
 
     assert rows == expected.rows
+
+
+@given(wide_graphs(_SUBJECTS, _PREDS, _OBJECTS), queries(), schedules())
+@settings(max_examples=25, deadline=None)
+def test_block_boundary_suspensions_over_snapshot_match_memory(
+    graph, text, schedule
+):
+    """Graphs wide enough to cross block boundaries, suspended at
+    BLOCK-1 / BLOCK / BLOCK+1 rows and after single block steps: the
+    snapshot-paged rows, order and work counters are the in-memory
+    recursive evaluator's."""
+    snap = _snapshot_of(graph)
+    query, algebra = _compile(graph, text)
+    evaluator = Evaluator(graph)
+    expected = evaluator.run_translated(query, algebra)
+
+    snap_query, snap_algebra = _compile(snap, text)
+    factory = PhysicalPlanFactory(snap_query, snap_algebra)
+    rows, stats, _ = run_paged(factory, snap, text, schedule)
+
+    assert rows == expected.rows
+    assert stats == evaluator.stats

@@ -222,6 +222,35 @@ class TestTokenTransfer:
             assert rendered(rows) == expected
 
 
+class TestInvalidBudgets:
+    """``page_size < 1`` / ``quantum_ms <= 0`` off the pipe: the worker
+    refuses typed, stays up, and the parent re-raises the same class."""
+
+    @pytest.mark.parametrize(
+        "quantum_ms, page_size", [(None, 0), (None, -2), (0, None), (-5.0, 3)]
+    )
+    def test_worker_refuses_and_keeps_serving(
+        self, snapshot_path, quantum_ms, page_size
+    ):
+        with make_pool(snapshot_path, workers=1) as frontend:
+            worker = frontend._workers[0]
+            reply = frontend._rpc(
+                worker, ("quantum", SCAN, None, quantum_ms, page_size)
+            )
+            assert reply[:2] == ("err", "InvalidBudgetError"), reply
+            good = frontend._rpc(worker, ("quantum", SCAN, None, None, 3))
+            assert good[0] == "ok" and len(good[1]["rows"]) == 3
+
+    def test_frontend_raises_the_typed_error(self, snapshot_path):
+        from repro.sparql import InvalidBudgetError
+
+        config = ServeConfig(max_active=2, page_size=0, seed=3)
+        with PoolFrontend(snapshot_path, workers=1, config=config) as frontend:
+            frontend.submit("s0", [SCAN])
+            with pytest.raises(InvalidBudgetError):
+                frontend.run()
+
+
 class TestRouting:
     def test_ring_is_deterministic_and_covers_all_slots(self):
         ring = _HashRing(4)

@@ -101,10 +101,10 @@ def test_save_load_at_every_row_boundary(graph, text):
     plan = factory.instantiate(graph)
     rows = []
     while not plan.root.done:
-        row = plan.root.next()
-        if row is None:
+        block = plan.root.next(1)
+        if not block:
             continue
-        rows.append(row)
+        rows += block
         state = plan.save()
         plan = factory.instantiate(graph)
         plan.load(state)
@@ -117,7 +117,7 @@ def test_save_state_is_json_serialisable(graph):
     query, algebra = _compile(graph, QUERIES[4])
     plan = PhysicalPlanFactory(query, algebra).instantiate(graph)
     for _ in range(5):
-        plan.root.next()
+        plan.root.next(1)
     state = plan.save()
     restored = json.loads(json.dumps(state))
     clone = PhysicalPlanFactory(query, algebra).instantiate(graph)
@@ -143,18 +143,19 @@ def test_construct_has_no_physical_plan(graph):
 
 
 def test_pipeline_breaker_reports_bounded_progress(graph):
-    """ORDER BY buffers in bounded batches: next() yields None (progress,
-    no row) before the first row — the hook time-slicing relies on."""
+    """ORDER BY buffers in bounded batches: next(limit) yields an empty
+    block (progress, no row) before the first row — the hook
+    time-slicing relies on."""
     plan = build_physical_plan(
         graph, f"SELECT ?s WHERE {{ ?s ?p ?o }} ORDER BY ?s"
     )
     none_steps = 0
-    first_row = None
-    while first_row is None and not plan.root.done:
-        first_row = plan.root.next()
-        if first_row is None:
+    first_row = []
+    while not first_row and not plan.root.done:
+        first_row = plan.root.next(1)
+        if not first_row:
             none_steps += 1
-    assert first_row is not None
+    assert first_row
     assert none_steps > 0
 
 
@@ -191,9 +192,9 @@ def test_resume_does_not_double_bill_scans(graph):
     resumed = factory.instantiate(graph)
     total_rows = 0
     while not resumed.root.done:
-        row = resumed.root.next()
-        if row is not None:
-            total_rows += 1
+        block = resumed.root.next(1)
+        if block:
+            total_rows += len(block)
             state = resumed.save()
             resumed_stats_carrier = factory.instantiate(graph)
             # Stats live on the runtime, not the token: carry them over

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # The checks a pull request must pass, runnable without any install step:
 #   1. the observability + optimizer smoke test (EXPLAIN ANALYZE row
-#      accounting, TopK fusion, plan-cache hit/invalidation, and the
-#      HVS/decomposer counters moving when toggled);
-#   2. the time-sliced executor smoke test (paging ≡ one-shot, token
+#      accounting read off the physical operators' own counters against
+#      the endpoint's answer — the same engine, explained vs served —
+#      TopK fusion, plan-cache hit/invalidation, and the HVS/decomposer
+#      counters moving when toggled);
+#   2. the time-sliced executor smoke test (paged ≡ unpaged on the one
+#      engine: the same plan run under a row budget and with none, token
 #      hygiene — a suspended query resumed across a graph mutation is
 #      invalidated, never silently wrong — round-robin fairness, and
 #      the encoded-store smoke: load → query → page → decode, with the
@@ -11,8 +14,10 @@
 #      plus the property-path paging smoke (a subClassOf* closure must
 #      suspend mid-traversal, resume from its token, and report its
 #      BFS frontier counters in EXPLAIN ANALYZE);
-#   3. a plan-cache + dictionary metrics smoke over
-#      `repro metrics --exercise`, then the materialized-views smoke
+#   3. a plan-cache + dictionary + engine-counter metrics smoke over
+#      `repro metrics --exercise` (every backend answer is a completed
+#      executor page that moved the repro_eval_* counters), then the
+#      materialized-views smoke
 #      (every chart shape served from the views route row-identically
 #      to the backend, and delta maintenance across
 #      add/remove/bulk_load equal to a from-scratch rebuild);
@@ -71,7 +76,11 @@ echo "$metrics" | grep -q 'repro_dict_terms{kind="uri"} [1-9]' \
   || { echo "FAIL: no terms interned in the dictionary"; exit 1; }
 echo "$metrics" | grep -q 'repro_dict_encode_total{outcome="miss"} [1-9]' \
   || { echo "FAIL: dictionary never interned during the workload"; exit 1; }
-echo "ok: plan cache hits, optimizer runs, and dictionary interning recorded"
+echo "$metrics" | grep -q 'repro_exec_pages_total{outcome="complete"} [1-9]' \
+  || { echo "FAIL: one-shot queries did not run as executor pages"; exit 1; }
+echo "$metrics" | grep -q 'repro_eval_bindings_total [1-9]' \
+  || { echo "FAIL: the executor did not flush the engine work counters"; exit 1; }
+echo "ok: plan cache hits, optimizer runs, dictionary interning, and engine counters recorded"
 
 echo
 echo "== repro views --self-test =="

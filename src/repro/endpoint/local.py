@@ -9,11 +9,13 @@ optimize (:mod:`repro.sparql.optimizer`) — which is memoised in a
 version-aware :class:`~repro.perf.plancache.PlanCache`, so repeated
 exploration queries skip straight to execution until the graph changes.
 
-Paged requests execute on the physical engine, which works in the
-store's ID space end to end (see :mod:`repro.rdf.dictionary`); result
-rows cross the late-materialization boundary at the plan root, so the
-``page.rows`` this endpoint serialises are ordinary interned terms and
-the SPARQL-JSON on the wire is byte-identical to one-shot evaluation.
+Execution is the physical engine's, paged or not: a request with a
+``page_size`` / ``quantum_ms`` budget runs one quantum and hands back a
+continuation token, a request without one runs the same plan with
+nothing to stop it.  The engine works in the store's ID space end to
+end (see :mod:`repro.rdf.dictionary`); result rows cross the
+late-materialization boundary at the plan root, so the rows this
+endpoint returns are ordinary interned terms.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Union
 
-from ..obs.tracing import EvalProbe
+from ..obs.tracing import operator_summaries
 from ..rdf.graph import Graph
-from ..sparql.evaluator import Evaluator
 from .base import Endpoint, EndpointResponse, observe_response
 from .clock import SimClock
 from .cost import LOCAL_PROFILE, CostModel
@@ -34,12 +35,11 @@ __all__ = ["LocalEndpoint"]
 class LocalEndpoint(Endpoint):
     """Executes queries directly against a :class:`Graph`.
 
-    With ``trace=True`` every query runs under an
-    :class:`~repro.obs.tracing.EvalProbe` and the response (and the
-    query log) carries per-operator row/time aggregates — the input of
-    :meth:`repro.explorer.monitor.QueryMonitor.by_operator`.  Tracing
-    adds real (not simulated) overhead per binding, so it is off by
-    default.
+    With ``trace=True`` every completed response (and its query-log
+    entry) carries per-operator row/time aggregates read off the
+    finished plan's own counters
+    (:func:`~repro.obs.tracing.operator_summaries`) — the input of
+    :meth:`repro.explorer.monitor.QueryMonitor.by_operator`.
 
     ``optimize`` toggles the algebra rewrite pipeline; ``plan_cache``
     is ``True`` for a private cache (the default), ``False``/``None``
@@ -110,67 +110,22 @@ class LocalEndpoint(Endpoint):
         page_size: Optional[int] = None,
         continuation: Optional[str] = None,
     ) -> EndpointResponse:
-        if (
-            quantum_ms is not None
-            or page_size is not None
-            or continuation is not None
-        ):
-            return self._query_paged(
-                query_text,
-                quantum_ms=quantum_ms,
-                page_size=page_size,
-                continuation=continuation,
-            )
-        if query_text is None:
-            raise TypeError("query_text is required without a continuation")
-        plan = self.plan(query_text)
-        probe = EvalProbe() if self.trace else None
-        evaluator = Evaluator(self.graph, probe=probe)
-        if plan.algebra is not None:
-            result = evaluator.run_translated(plan.query, plan.algebra)
-        else:
-            result = evaluator.run(plan.query)
-        stats = evaluator.stats
-        result_rows = len(result.rows) if hasattr(result, "rows") else 1
-        elapsed = self.cost_model.simulate_ms(
-            intermediate_bindings=stats.intermediate_bindings,
-            pattern_scans=stats.pattern_scans,
-            result_rows=result_rows,
-        )
-        self.clock.advance(elapsed)
-        response = EndpointResponse(
-            result=result,
-            elapsed_ms=elapsed,
-            source=self.cost_model.name,
-            query_text=query_text,
-            stats=stats,
-            trace=probe.summaries() if probe is not None else None,
-        )
-        observe_response(response)
-        self._log(response)
-        return response
+        """Answer a query, or one time-sliced page of it.
 
-    def _query_paged(
-        self,
-        query_text: Optional[str],
-        quantum_ms: Optional[float],
-        page_size: Optional[int],
-        continuation: Optional[str],
-    ) -> EndpointResponse:
-        """One time-sliced page of a SELECT query.
-
-        Fresh requests compile through the plan cache (the physical
-        factory is cached alongside the algebra) and start a new
-        execution; requests with a ``continuation`` restore the
-        suspended operator tree and keep going.  Each page is charged
-        simulated latency for *its own* work only — the responsiveness
-        contract the paper's incremental evaluation argues for.
+        Every request takes the same path: compile through the plan
+        cache (the physical factory is cached alongside the algebra),
+        start a new execution — or, with a ``continuation``, restore
+        the suspended operator tree — and run it for one quantum.
+        With no ``quantum_ms`` / ``page_size`` nothing stops the
+        quantum, so the response is the complete answer.  Each response
+        is charged simulated latency for *its own* work only — the
+        responsiveness contract the paper's incremental evaluation
+        argues for.
         """
         from ..perf.hvs import normalize_query
         from ..sparql import executor as sparql_executor
-        from ..sparql.results import SelectResult
 
-        plan = None
+        plan = blob = None
         if continuation is not None:
             live = self._resume_cache.pop(
                 (continuation, self.graph.version), None
@@ -182,72 +137,59 @@ class LocalEndpoint(Endpoint):
                 # Still a token-driven resume as far as the serving
                 # metrics are concerned.
                 sparql_executor._RESUMES_TOTAL.inc()
-                plan, live_query = live
-                if query_text is not None and normalize_query(
-                    query_text
-                ) != normalize_query(live_query):
-                    raise sparql_executor.MalformedTokenError(
-                        "continuation token belongs to a different query"
-                    )
-                query_text = live_query
+                plan, token_query = live
             else:
                 blob = sparql_executor.decode_continuation(continuation)
-                if query_text is not None and normalize_query(
-                    query_text
-                ) != normalize_query(blob["query"]):
-                    raise sparql_executor.MalformedTokenError(
-                        "continuation token belongs to a different query"
-                    )
-                query_text = blob["query"]
+                token_query = blob["query"]
+            if query_text is not None and normalize_query(
+                query_text
+            ) != normalize_query(token_query):
+                raise sparql_executor.MalformedTokenError(
+                    "continuation token belongs to a different query"
+                )
+            query_text = token_query
         elif query_text is None:
             raise TypeError("query_text is required without a continuation")
         if plan is None:
-            cached = self.plan(query_text)
-            factory = cached.physical_factory()
-            if factory.is_ask:
-                # ASK short-circuits on its first solution; it never
-                # pages and never mints tokens.
-                if continuation is not None:
-                    raise sparql_executor.MalformedTokenError(
-                        "ASK queries do not issue continuation tokens"
-                    )
-                return self.query(query_text)
-            if continuation is not None:
-                plan = sparql_executor.restore_plan(
-                    factory, self.graph, blob
-                )
-            else:
+            factory = self.plan(query_text).physical_factory()
+            if blob is None:
                 plan = factory.instantiate(self.graph)
-        page = sparql_executor.run_quantum(
+            else:
+                plan = sparql_executor.restore_plan(factory, self.graph, blob)
+        result, stats, complete = sparql_executor.run_request(
             plan, quantum_ms=quantum_ms, page_size=page_size
         )
-        token = (
-            None
-            if page.complete
-            else sparql_executor.encode_continuation(
+        token = None
+        if not complete:
+            token = sparql_executor.encode_continuation(
                 plan, self.graph, query_text
             )
-        )
-        if token is not None:
             self._resume_cache[(token, self.graph.version)] = (
                 plan, query_text,
             )
             while len(self._resume_cache) > self._resume_cache_size:
                 self._resume_cache.popitem(last=False)
         elapsed = self.cost_model.simulate_ms(
-            intermediate_bindings=page.stats.intermediate_bindings,
-            pattern_scans=page.stats.pattern_scans,
-            result_rows=len(page.rows),
+            intermediate_bindings=stats.intermediate_bindings,
+            pattern_scans=stats.pattern_scans,
+            result_rows=len(result.rows) if hasattr(result, "rows") else 1,
         )
         self.clock.advance(elapsed)
         response = EndpointResponse(
-            result=SelectResult(page.variables, page.rows, stats=page.stats),
+            result=result,
             elapsed_ms=elapsed,
             source=self.cost_model.name,
             query_text=query_text,
-            stats=page.stats,
+            stats=stats,
             continuation=token,
-            complete=page.complete,
+            complete=complete,
+            # The finished tree's own counters; a plan another request
+            # restored from a token has counted only since the restore.
+            trace=(
+                operator_summaries(plan.root)
+                if self.trace and complete
+                else None
+            ),
         )
         observe_response(response)
         self._log(response)

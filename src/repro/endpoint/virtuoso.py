@@ -20,7 +20,6 @@ from typing import Optional
 
 from ..obs.metrics import REGISTRY
 from ..rdf.graph import Graph
-from ..sparql.evaluator import Evaluator
 from .base import Endpoint, EndpointResponse, observe_response
 from .clock import SimClock
 from .cost import REMOTE_VIRTUOSO_PROFILE, CostModel
@@ -107,101 +106,58 @@ class SimulatedVirtuosoServer:
         return response
 
     def _dispatch(self, request: SparqlHttpRequest) -> SparqlHttpResponse:
-        """Execute one (fault-free) protocol request against the engine."""
-        self.requests_served += 1
-        if request.paged:
-            return self._handle_paged(request)
-        try:
-            plan = self.plan_cache.get(
-                request.query,
-                graph=self.graph if self.optimize else None,
-                optimize=self.optimize,
-            )
-            evaluator = Evaluator(self.graph)
-            if plan.algebra is not None:
-                result = evaluator.run_translated(plan.query, plan.algebra)
-            else:
-                result = evaluator.run(plan.query)
-        except Exception as error:  # engine errors -> HTTP error body
-            _SERVER_ERROR.inc()
-            elapsed = self.cost_model.network_latency_ms
-            self.clock.advance(elapsed)
-            return encode_error(error, elapsed_ms=elapsed)
-        _SERVER_OK.inc()
-        stats = evaluator.stats
-        result_rows = len(result.rows) if hasattr(result, "rows") else 1
-        elapsed = self.cost_model.simulate_ms(
-            intermediate_bindings=stats.intermediate_bindings,
-            pattern_scans=stats.pattern_scans,
-            result_rows=result_rows,
-        )
-        self.clock.advance(elapsed)
-        return encode_success(result, elapsed_ms=elapsed)
+        """Execute one (fault-free) protocol request against the engine.
 
-    def _handle_paged(self, request: SparqlHttpRequest) -> SparqlHttpResponse:
-        """Serve one time-sliced page through the physical executor.
-
-        Continuation-token failures (malformed, cross-version, expired)
+        One body for every request: compile through the server's plan
+        cache, start — or restore from the continuation token — the
+        physical plan, and run one quantum; with no budget in the
+        request that quantum is the whole query.  Engine and
+        continuation-token failures (malformed, cross-version, expired)
         are :class:`~repro.sparql.errors.SparqlError` subclasses, so
         they travel to the client as clean 400 protocol errors instead
         of wrong answers."""
         from ..sparql import executor as sparql_executor
-        from ..sparql.results import SelectResult
 
+        self.requests_served += 1
         try:
             blob = None
             if request.continuation is not None:
                 blob = sparql_executor.decode_continuation(request.continuation)
-            cached = self.plan_cache.get(
+            factory = self.plan_cache.get(
                 request.query,
                 graph=self.graph if self.optimize else None,
                 optimize=self.optimize,
-            )
-            factory = cached.physical_factory()
-            if factory.is_ask:
-                if blob is not None:
-                    raise sparql_executor.MalformedTokenError(
-                        "ASK queries do not issue continuation tokens"
-                    )
-                return self._dispatch(
-                    SparqlHttpRequest(
-                        endpoint_url=request.endpoint_url, query=request.query
-                    )
-                )
-            if blob is not None:
-                plan = sparql_executor.restore_plan(factory, self.graph, blob)
-            else:
+            ).physical_factory()
+            if blob is None:
                 plan = factory.instantiate(self.graph)
-            page = sparql_executor.run_quantum(
+            else:
+                plan = sparql_executor.restore_plan(factory, self.graph, blob)
+            result, stats, complete = sparql_executor.run_request(
                 plan,
                 quantum_ms=request.quantum_ms,
                 page_size=request.page_size,
             )
             token = (
                 None
-                if page.complete
+                if complete
                 else sparql_executor.encode_continuation(
                     plan, self.graph, request.query
                 )
             )
-        except Exception as error:
+        except Exception as error:  # engine errors -> HTTP error body
             _SERVER_ERROR.inc()
             elapsed = self.cost_model.network_latency_ms
             self.clock.advance(elapsed)
             return encode_error(error, elapsed_ms=elapsed)
         _SERVER_OK.inc()
         elapsed = self.cost_model.simulate_ms(
-            intermediate_bindings=page.stats.intermediate_bindings,
-            pattern_scans=page.stats.pattern_scans,
-            result_rows=len(page.rows),
+            intermediate_bindings=stats.intermediate_bindings,
+            pattern_scans=stats.pattern_scans,
+            result_rows=len(result.rows) if hasattr(result, "rows") else 1,
         )
         self.clock.advance(elapsed)
-        result = SelectResult(page.variables, page.rows)
         return encode_success(
-            result,
-            elapsed_ms=elapsed,
-            continuation=token,
-            complete=page.complete,
+            result, elapsed_ms=elapsed, continuation=token, complete=complete
         )
 
     @property

@@ -5,14 +5,16 @@ Three pieces, layered bottom-up:
 * :mod:`repro.obs.metrics` — a dependency-free prometheus-style registry
   (:data:`REGISTRY`) that every engine layer emits counters, gauges, and
   histograms into; the metric-name catalogue is ``docs/OBSERVABILITY.md``.
-* :mod:`repro.obs.tracing` — :class:`EvalProbe` wraps every evaluator
-  operator in a measuring span; spans export as a tree or JSON lines.
+* :mod:`repro.obs.tracing` — operator naming, and the flat
+  per-operator aggregates (:func:`operator_summaries`) read off an
+  executed plan's own row / call / wall-time counters.
 * :mod:`repro.obs.explain` — ``EXPLAIN`` / ``EXPLAIN ANALYZE``: the
   algebra plan with estimated vs. actual per-operator cardinalities and
-  wall time, surfaced by the ``repro explain`` CLI subcommand.
+  wall time (the same counters), exportable as a span tree or JSON
+  lines, surfaced by the ``repro explain`` CLI subcommand.
 
 ``explain`` is imported lazily (PEP 562) because it depends on the
-evaluator, which itself emits metrics through this package.
+engine, which itself emits metrics through this package.
 """
 
 from .metrics import (
@@ -24,13 +26,7 @@ from .metrics import (
     REGISTRY,
     get_registry,
 )
-from .tracing import (
-    EvalProbe,
-    OperatorSpan,
-    OperatorSummary,
-    render_span_tree,
-    spans_to_json_lines,
-)
+from .tracing import OperatorSummary, operator_summaries
 
 __all__ = [
     "REGISTRY",
@@ -40,11 +36,8 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "EvalProbe",
-    "OperatorSpan",
     "OperatorSummary",
-    "render_span_tree",
-    "spans_to_json_lines",
+    "operator_summaries",
     "ExplainResult",
     "PlanNode",
     "explain",

@@ -3,10 +3,11 @@
 ``explain(graph, query)`` renders the algebra tree of a query with
 per-operator *estimated* cardinalities (derived from the graph's index
 statistics); ``explain(graph, query, analyze=True)`` additionally runs
-the query with an :class:`repro.obs.tracing.EvalProbe` attached and
-reports, per operator, the *actual* rows produced and wall time — the
-measurement harness the perf layer (HVS, decomposer, incremental
-evaluation) is judged against.
+the query and reports, per operator, the *actual* rows produced and
+wall time, read off the counters the physical operators keep as they
+run — the measurement harness the perf layer (HVS, decomposer,
+incremental evaluation) is judged against.  :func:`explain_physical`
+shows the same execution as the physical operator tree itself.
 
 The estimates are deliberately simple (independence-assumption upper
 bounds, the classic 1/3 filter selectivity): their job is to make
@@ -44,15 +45,8 @@ from ..sparql.algebra import (
 )
 from ..sparql.ast import ConstructQuery, PathExpr, Query, TriplePatternNode, Var
 from ..sparql.errors import SparqlEvalError
-from ..sparql.evaluator import Evaluator
 from ..sparql.parser import parse_query
-from .tracing import (
-    EvalProbe,
-    operator_detail,
-    operator_label,
-    render_span_tree,
-    spans_to_json_lines,
-)
+from .tracing import operator_detail, operator_label
 
 __all__ = [
     "PlanNode",
@@ -163,12 +157,27 @@ class PlanNode:
     actual_rows: Optional[int] = None
     wall_ms: Optional[float] = None        # inclusive
     self_wall_ms: Optional[float] = None
-    invocations: int = 0
+    invocations: int = 0                   # next(limit) calls served
+    finished: bool = False                 # ran to exhaustion
 
     def walk(self):
         yield self
         for child in self.children:
             yield from child.walk()
+
+    def measure(self, op) -> None:
+        """Take one executed physical operator's counters."""
+        self.actual_rows = op.rows_produced
+        self.wall_ms = op.wall_s * 1000.0
+        self.invocations = op.calls
+        self.finished = op.done
+
+    def settle_self_time(self) -> None:
+        """Derive self time (inclusive minus the children's) tree-wide."""
+        for node in self.walk():
+            if node.wall_ms is not None:
+                below = sum(child.wall_ms or 0.0 for child in node.children)
+                node.self_wall_ms = max(0.0, node.wall_ms - below)
 
     def to_dict(self) -> Dict:
         out: Dict = {
@@ -244,7 +253,6 @@ class ExplainResult:
     plan: PlanNode
     analyzed: bool
     result: object = None          # SelectResult/AskResult when analyzed
-    probe: Optional[EvalProbe] = None
     planning_note: str = ""
     pre_plan: Optional[PlanNode] = None
     passes: List = field(default_factory=list)
@@ -292,11 +300,48 @@ class ExplainResult:
             lines.append(self.planning_note)
         return "\n".join(lines)
 
-    def render_spans(self) -> str:
-        """The raw measured span tree (ANALYZE only)."""
-        if self.probe is None:
+    def _spans(self) -> List[Dict]:
+        """The executed operators, pre-order, parent-linked by id (the
+        span schema of docs/OBSERVABILITY.md)."""
+        if not self.analyzed:
             raise SparqlEvalError("spans require analyze=True")
-        return render_span_tree(self.probe.roots)
+        spans: List[Dict] = []
+
+        def visit(plan: PlanNode, parent_id: Optional[int]) -> None:
+            if plan.actual_rows is not None:
+                spans.append(
+                    {
+                        "span_id": len(spans) + 1,
+                        "parent_id": parent_id,
+                        "operator": plan.label,
+                        "detail": plan.detail,
+                        "rows": plan.actual_rows,
+                        "wall_ms": round(plan.wall_ms, 6),
+                        "self_wall_ms": round(plan.self_wall_ms, 6),
+                        "invocations": plan.invocations,
+                        "finished": plan.finished,
+                    }
+                )
+                parent_id = spans[-1]["span_id"]
+            for child in plan.children:
+                visit(child, parent_id)
+
+        visit(self.plan, None)
+        return spans
+
+    def render_spans(self) -> str:
+        """The measured operators as an indented tree (ANALYZE only)."""
+        depth = {None: -1}
+        lines = []
+        for span in self._spans():
+            depth[span["span_id"]] = depth[span["parent_id"]] + 1
+            detail = f" ({span['detail']})" if span["detail"] else ""
+            lines.append(
+                f"{'  ' * depth[span['span_id']]}{span['operator']}{detail}  "
+                f"rows={span['rows']}  wall={span['wall_ms']:.3f}ms "
+                f"self={span['self_wall_ms']:.3f}ms calls={span['invocations']}"
+            )
+        return "\n".join(lines)
 
     def to_json(self) -> str:
         """The plan tree as one JSON document."""
@@ -315,10 +360,10 @@ class ExplainResult:
         return json.dumps(document, sort_keys=True, indent=2)
 
     def to_json_lines(self) -> str:
-        """Measured spans as JSON lines (ANALYZE only)."""
-        if self.probe is None:
-            raise SparqlEvalError("span export requires analyze=True")
-        return spans_to_json_lines(self.probe.roots)
+        """Measured operators as JSON lines (ANALYZE only)."""
+        return "\n".join(
+            json.dumps(span, sort_keys=True) for span in self._spans()
+        )
 
 
 def explain(
@@ -356,29 +401,27 @@ def explain(
             pre_plan=pre_plan,
             passes=passes,
         )
-    probe = EvalProbe()
-    evaluator = Evaluator(graph, probe=probe)
-    result = evaluator.run_translated(query, algebra)
-    matched = 0
-    for node_id, plan_node in index.items():
-        span = probe.span_by_node.get(node_id)
-        if span is None:
-            continue
-        matched += 1
-        plan_node.actual_rows = span.rows
-        plan_node.wall_ms = span.wall_ms
-        plan_node.self_wall_ms = span.self_wall_ms
-        plan_node.invocations = span.invocations
-    note = ""
-    if matched == 0:
-        note = "note: no operators were executed"
+    from ..sparql import executor as sparql_executor
+    from ..sparql.planner import PhysicalPlanFactory
+
+    physical = PhysicalPlanFactory(query, algebra).instantiate(graph)
+    result = sparql_executor.run_to_completion(physical)
+    # An algebra node may compile to several operators (a BGP is a chain
+    # of scans); the outermost — first in a pre-order walk — produces
+    # the node's rows and its inclusive time.
+    executed = 0
+    for op in physical.root.walk():
+        plan_node = index.get(id(op.algebra))
+        if plan_node is not None and plan_node.actual_rows is None and op.calls:
+            plan_node.measure(op)
+            executed += 1
+    plan.settle_self_time()
     return ExplainResult(
         query_text=query_text,
         plan=plan,
         analyzed=True,
         result=result,
-        probe=probe,
-        planning_note=note,
+        planning_note="" if executed else "note: no operators were executed",
         pre_plan=pre_plan,
         passes=passes,
     )
@@ -404,11 +447,7 @@ def _physical_plan_node(graph: Graph, op, analyzed: bool) -> PlanNode:
         ],
     )
     if analyzed:
-        child_wall = sum(child.wall_s for child in op.children())
-        node.actual_rows = op.rows_produced
-        node.wall_ms = op.wall_s * 1000.0
-        node.self_wall_ms = max(0.0, op.wall_s - child_wall) * 1000.0
-        node.invocations = op.calls
+        node.measure(op)
     return node
 
 
@@ -423,9 +462,9 @@ def explain_physical(
     """Explain a query as the *physical* operator tree the time-sliced
     executor runs (:mod:`repro.sparql.physical`).
 
-    Unlike :func:`explain`, ANALYZE here needs no probe: physical
-    operators carry their own ``rows_produced`` / ``wall_s`` / ``calls``
-    counters, read directly off the tree after execution.  With
+    ANALYZE reads the operators' own ``rows_produced`` / ``wall_s`` /
+    ``calls`` counters, exactly as :func:`explain` does — here without
+    folding them back onto the algebra tree.  With
     ``quantum_ms``/``page_size`` set, ANALYZE drives the plan page by
     page through :func:`repro.sparql.executor.run_quantum` and the
     planning note reports each suspension — what the paged endpoint
@@ -442,7 +481,7 @@ def explain_physical(
             analyzed=False,
             planning_note="physical plan (time-sliced executor)",
         )
-    if plan_obj.factory.is_ask or (quantum_ms is None and page_size is None):
+    if not plan_obj.factory.pageable or (quantum_ms is None and page_size is None):
         result = sparql_executor.run_to_completion(plan_obj)
         note = "physical plan (time-sliced executor); ran in one quantum"
     else:
@@ -466,9 +505,11 @@ def explain_physical(
             f"{len(suspensions)} suspension(s)"
             + (f" [{', '.join(suspensions)}]" if suspensions else "")
         )
+    plan = _physical_plan_node(graph, plan_obj.root, analyzed=True)
+    plan.settle_self_time()
     return ExplainResult(
         query_text=query_text,
-        plan=_physical_plan_node(graph, plan_obj.root, analyzed=True),
+        plan=plan,
         analyzed=True,
         result=result,
         planning_note=note,

@@ -3,7 +3,8 @@
 Every layer of the query path emits counters, gauges, and histograms into
 one :data:`REGISTRY` so that a single ``repro metrics`` call (or a test)
 can see where work happened: index lookups in :mod:`repro.rdf.graph`,
-bindings and join strategies in :mod:`repro.sparql.evaluator`, simulated
+bindings and join strategies in :mod:`repro.sparql.executor` and
+:mod:`repro.sparql.physical`, simulated
 latency per source in :mod:`repro.endpoint`, and cache/rewrite decisions
 in :mod:`repro.perf`.
 

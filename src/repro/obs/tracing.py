@@ -1,26 +1,19 @@
-"""Per-operator tracing for the SPARQL evaluator.
+"""Operator naming and per-operator aggregates for the SPARQL engine.
 
-:class:`EvalProbe` plugs into :class:`repro.sparql.evaluator.Evaluator`
-(its ``probe`` argument): every algebra operator's iterator is wrapped in
-a span that counts the rows it yields and the wall time spent pulling
-them.  Spans form a tree mirroring the algebra tree — dynamically, so
-operators materialised on the fly (``EXISTS`` sub-patterns, which the
-evaluator re-translates per candidate row) attach under the operator
-that triggered them, merged across invocations the way ``loops`` are in
-PostgreSQL's ``EXPLAIN ANALYZE``.
-
-Span wall times are *inclusive* (they contain child time); the renderer
-derives self time by subtracting the children.  Spans export as JSON
-lines (one object per span, parent-linked by id) and as an indented
-tree — both surfaced by ``repro explain``.
+Physical operators (:mod:`repro.sparql.physical`) count their own rows,
+calls and inclusive wall time as they run, and each carries a
+back-pointer to the algebra node it was compiled from.  This module
+names algebra operators for plans and traces
+(:func:`operator_label` / :func:`operator_detail`) and folds a finished
+operator tree into the flat :class:`OperatorSummary` tuples that
+``LocalEndpoint(trace=True)`` attaches to responses and query logs.
+``EXPLAIN ANALYZE`` (:mod:`repro.obs.explain`) reads the same counters.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..sparql.algebra import (
     Aggregation,
@@ -45,13 +38,10 @@ from ..sparql.algebra import (
 from ..sparql.ast import Var
 
 __all__ = [
-    "OperatorSpan",
     "OperatorSummary",
-    "EvalProbe",
+    "operator_summaries",
     "operator_label",
     "operator_detail",
-    "render_span_tree",
-    "spans_to_json_lines",
 ]
 
 
@@ -130,52 +120,8 @@ def operator_detail(node: AlgebraNode, width: int = 60) -> str:
 
 
 # ----------------------------------------------------------------------
-# Spans
+# Per-operator aggregates
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class OperatorSpan:
-    """One operator's measured execution (possibly merged invocations)."""
-
-    span_id: int
-    label: str
-    detail: str
-    parent: Optional["OperatorSpan"] = None
-    children: List["OperatorSpan"] = field(default_factory=list)
-    rows: int = 0
-    wall_s: float = 0.0  # inclusive: contains child time
-    invocations: int = 1
-    finished: bool = False
-
-    @property
-    def wall_ms(self) -> float:
-        return self.wall_s * 1000.0
-
-    @property
-    def self_wall_ms(self) -> float:
-        """Wall time minus the children's inclusive wall time."""
-        child_ms = sum(child.wall_ms for child in self.children)
-        return max(0.0, self.wall_ms - child_ms)
-
-    def walk(self) -> Iterator["OperatorSpan"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def to_dict(self) -> Dict:
-        """The span's JSON-line schema (see docs/OBSERVABILITY.md)."""
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent.span_id if self.parent else None,
-            "operator": self.label,
-            "detail": self.detail,
-            "rows": self.rows,
-            "wall_ms": round(self.wall_ms, 6),
-            "self_wall_ms": round(self.self_wall_ms, 6),
-            "invocations": self.invocations,
-            "finished": self.finished,
-        }
 
 
 @dataclass(frozen=True)
@@ -188,126 +134,32 @@ class OperatorSummary:
     invocations: int
 
 
-class EvalProbe:
-    """Builds the span tree while the evaluator runs.
+def operator_summaries(root) -> Tuple[OperatorSummary, ...]:
+    """Per-operator flat aggregates of one executed physical plan.
 
-    Pass one instance as ``Evaluator(graph, probe=EvalProbe())``; after
-    the query is consumed, ``roots`` holds the span forest (normally a
-    single root mirroring the algebra tree).
+    Read off the tree's own ``rows_produced`` / ``wall_s`` / ``calls``
+    counters and merged by *algebra* operator name: a BGP compiles to a
+    chain of scans, whose self times add up while the outermost scan —
+    the first one a pre-order walk meets — speaks for the BGP's rows.
+    Operators the planner adds on its own keep their physical label.
+    Sorted by self time, heaviest first.
     """
-
-    def __init__(self) -> None:
-        self.roots: List[OperatorSpan] = []
-        self.span_by_node: Dict[int, OperatorSpan] = {}
-        self._stack: List[OperatorSpan] = []
-        self._serial = 0
-
-    # -- evaluator hook -------------------------------------------------
-
-    def wrap(self, node: AlgebraNode, iterator: Iterator) -> Iterator:
-        """Wrap one operator's iterator in a measuring span."""
-        span = self._span_for(node)
-        return self._measure(span, iterator)
-
-    def _span_for(self, node: AlgebraNode) -> OperatorSpan:
-        existing = self.span_by_node.get(id(node))
-        if existing is not None:
-            # The same operator object evaluated again (e.g. a shared
-            # subtree): accumulate into the same span.
-            existing.invocations += 1
-            return existing
-        parent = self._stack[-1] if self._stack else None
-        label = operator_label(node)
-        detail = operator_detail(node)
-        if parent is not None:
-            # Structurally identical fresh trees (EXISTS re-translates its
-            # pattern per candidate row) merge into one span per parent.
-            for child in parent.children:
-                if child.label == label and child.detail == detail:
-                    child.invocations += 1
-                    self.span_by_node[id(node)] = child
-                    return child
-        self._serial += 1
-        span = OperatorSpan(
-            span_id=self._serial, label=label, detail=detail, parent=parent
+    slots: Dict[str, List] = {}
+    counted = set()
+    for op in root.walk():
+        label = operator_label(op.algebra) if op.algebra is not None else op.label
+        slot = slots.setdefault(label, [0, 0.0, 0])
+        slot[1] += max(
+            0.0, op.wall_s - sum(child.wall_s for child in op.children())
+        ) * 1000.0
+        node = id(op.algebra) if op.algebra is not None else id(op)
+        if node not in counted:
+            counted.add(node)
+            slot[0] += op.rows_produced
+            slot[2] += op.calls
+    return tuple(
+        OperatorSummary(
+            operator=label, rows=slot[0], wall_ms=slot[1], invocations=slot[2]
         )
-        if parent is None:
-            self.roots.append(span)
-        else:
-            parent.children.append(span)
-        self.span_by_node[id(node)] = span
-        return span
-
-    def _measure(self, span: OperatorSpan, iterator: Iterator) -> Iterator:
-        stack = self._stack
-        while True:
-            start = perf_counter()
-            stack.append(span)
-            try:
-                try:
-                    item = next(iterator)
-                except StopIteration:
-                    span.finished = True
-                    return
-            finally:
-                stack.pop()
-                span.wall_s += perf_counter() - start
-            span.rows += 1
-            yield item
-
-    # -- aggregation ----------------------------------------------------
-
-    def summaries(self) -> Tuple[OperatorSummary, ...]:
-        """Per-operator flat aggregates (self time, merged by label)."""
-        rows: Dict[str, List[float]] = {}
-        for root in self.roots:
-            for span in root.walk():
-                slot = rows.setdefault(span.label, [0, 0.0, 0])
-                slot[0] += span.rows
-                slot[1] += span.self_wall_ms
-                slot[2] += span.invocations
-        return tuple(
-            OperatorSummary(
-                operator=label,
-                rows=int(slot[0]),
-                wall_ms=slot[1],
-                invocations=int(slot[2]),
-            )
-            for label, slot in sorted(
-                rows.items(), key=lambda item: -item[1][1]
-            )
-        )
-
-
-# ----------------------------------------------------------------------
-# Export
-# ----------------------------------------------------------------------
-
-
-def render_span_tree(roots: List[OperatorSpan]) -> str:
-    """Human-readable indented tree of measured spans."""
-    lines: List[str] = []
-
-    def visit(span: OperatorSpan, depth: int) -> None:
-        indent = "  " * depth
-        detail = f" ({span.detail})" if span.detail else ""
-        loops = f" loops={span.invocations}" if span.invocations > 1 else ""
-        lines.append(
-            f"{indent}{span.label}{detail}  rows={span.rows}  "
-            f"wall={span.wall_ms:.3f}ms self={span.self_wall_ms:.3f}ms{loops}"
-        )
-        for child in span.children:
-            visit(child, depth + 1)
-
-    for root in roots:
-        visit(root, 0)
-    return "\n".join(lines)
-
-
-def spans_to_json_lines(roots: List[OperatorSpan]) -> str:
-    """One JSON object per span, pre-order, parent-linked by id."""
-    lines = []
-    for root in roots:
-        for span in root.walk():
-            lines.append(json.dumps(span.to_dict(), sort_keys=True))
-    return "\n".join(lines)
+        for label, slot in sorted(slots.items(), key=lambda item: -item[1][1])
+    )

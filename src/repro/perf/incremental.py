@@ -34,7 +34,7 @@ from ..rdf.triple import Triple
 from ..sparql.algebra import contains_aggregate
 from ..sparql.ast import AggregateExpr, SelectQuery
 from ..sparql.errors import SparqlEvalError
-from ..sparql.functions import term_order_key
+from ..sparql.functions import extreme_order_key
 from ..sparql.parser import parse_query
 from ..sparql.results import SelectResult
 
@@ -200,13 +200,14 @@ class IncrementalEvaluator:
             # Widest datatype wins once any float entered the sum;
             # repr() matches the engine's _numeric_literal output.
             return Literal(repr(total), datatype=_XSD_DOUBLE)
-        # SPARQL value order (term_order_key), which compares numeric
-        # literals by value — lexicographic sort_key would rank "9"
-        # above "10".
+        # The engine's own MIN/MAX ranking: SPARQL value order (numeric
+        # literals by value — lexicographic sort_key alone would rank
+        # "9" above "10"), value ties broken by sort_key, so the merged
+        # extreme is the one-shot one whatever the window order.
         if op == "min":
-            return min(old, new, key=term_order_key)
+            return min(old, new, key=extreme_order_key)
         if op == "max":
-            return max(old, new, key=term_order_key)
+            return max(old, new, key=extreme_order_key)
         return new
 
     # ------------------------------------------------------------------

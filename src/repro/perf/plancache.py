@@ -25,8 +25,7 @@ from typing import Optional, Tuple
 
 from ..obs.metrics import REGISTRY
 from ..sparql.algebra import AlgebraNode, translate_query
-from ..sparql.ast import AskQuery, Query, SelectQuery
-from ..sparql.errors import SparqlEvalError
+from ..sparql.ast import Query
 from ..sparql.parser import parse_query
 from .hvs import normalize_query
 
@@ -56,16 +55,15 @@ class CachedPlan:
 
     ``algebra`` is the plan to execute (optimized when an optimizer ran,
     raw otherwise); ``raw_algebra`` is always the direct translation —
-    EXPLAIN renders both.  ``algebra`` is None for query forms the
-    algebra does not cover (CONSTRUCT); callers then fall back to
-    ``query``.  ``stats_version`` is the graph version the plan's
-    cost-based decisions were derived from, or None when no statistics
-    were consulted.
+    EXPLAIN renders both.  For a CONSTRUCT both describe the solution
+    sequence its template is applied to.  ``stats_version`` is the graph
+    version the plan's cost-based decisions were derived from, or None
+    when no statistics were consulted.
     """
 
     query: Query
-    algebra: Optional[AlgebraNode]
-    raw_algebra: Optional[AlgebraNode]
+    algebra: AlgebraNode
+    raw_algebra: AlgebraNode
     stats_version: Optional[int]
     notes: Tuple[Tuple[str, str], ...] = ()
     #: Lazily compiled physical-plan factory (see :meth:`physical_factory`).
@@ -75,17 +73,13 @@ class CachedPlan:
         """The compiled physical plan for this entry, built on first use.
 
         Compilation (BGP ordering, filter slots, join-key analysis) runs
-        once per cached plan; every page of a paginated execution then
-        instantiates a fresh operator tree from the same factory.  The
-        factory shares the entry's lifetime, so graph-version
-        invalidation of the entry also drops the physical plan.
+        once per cached plan; every execution — each one-shot request,
+        each page of a paginated one — then instantiates a fresh
+        operator tree from the same factory.  The factory shares the
+        entry's lifetime, so graph-version invalidation of the entry
+        also drops the physical plan.
         """
         if self.physical is None:
-            if self.algebra is None:
-                raise SparqlEvalError(
-                    "query form has no physical plan (CONSTRUCT runs on "
-                    "the recursive evaluator only)"
-                )
             from ..sparql.planner import PhysicalPlanFactory
 
             self.physical = PhysicalPlanFactory(self.query, self.algebra)
@@ -165,10 +159,6 @@ def build_plan(query_text: str, graph=None, optimize: bool = True) -> CachedPlan
     this function, and cache-less callers use it directly.
     """
     query = parse_query(query_text)
-    if not isinstance(query, (SelectQuery, AskQuery)):
-        # CONSTRUCT has no algebra form here; cache the AST so the
-        # evaluator at least skips re-parsing.
-        return CachedPlan(query, None, None, None)
     raw = translate_query(query)
     if not optimize:
         return CachedPlan(query, raw, raw, None)

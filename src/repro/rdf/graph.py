@@ -12,8 +12,8 @@ Two access planes are exposed:
 
 - :meth:`Graph.triples` / the single-position accessors speak
   :class:`~repro.rdf.terms.Term` objects, exactly as before — they
-  decode on the fly, so every existing consumer (recursive evaluator,
-  exploration engine, serialisers) is unchanged.
+  decode on the fly, so every term-space consumer (exploration
+  engine, serialisers, the test oracle) is unchanged.
 - :meth:`Graph.triples_ids` yields raw ``(s, p, o)`` ID tuples with no
   term materialization at all; the physical operator layer
   (:mod:`repro.sparql.physical`) executes joins, DISTINCT, and grouping

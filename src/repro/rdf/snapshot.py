@@ -33,7 +33,7 @@ in-memory ``Graph``'s nested dicts:
 - ``statistics()`` — the optimizer's cardinality summary (precomputed
   at build time, O(1) at open);
 - the decoding term-plane wrappers (``triples``, ``subjects``, ...)
-  the recursive evaluator and the explorer use.
+  the explorer and the serialisers use.
 
 Because both stores enumerate every pattern in **sorted ID order**
 (:meth:`Graph.triples_ids` walks its dict levels sorted; the snapshot's

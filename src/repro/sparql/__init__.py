@@ -1,7 +1,9 @@
 """A from-scratch SPARQL 1.1 SELECT/ASK engine over :mod:`repro.rdf`.
 
 Pipeline: :func:`tokenize` -> :func:`parse_query` -> algebra translation
-(:func:`translate_query`) -> iterator evaluation (:class:`Evaluator`).
+(:func:`translate_query`) -> optimization -> physical planning
+(:mod:`.planner`) -> suspendable ID-space operators (:mod:`.physical`)
+driven by the executor; :func:`evaluate` is all of it in one call.
 The engine substitutes for the Virtuoso SPARQL endpoints the paper runs
 against; it executes every query shape eLinda generates, including the
 nested GROUP BY aggregate query of Section 4.

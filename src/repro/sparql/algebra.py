@@ -2,8 +2,8 @@
 
 The operators follow the SPARQL 1.1 algebra: BGP, Join, LeftJoin, Filter,
 Union, Minus, Extend, Values, Group/Aggregation (fused with projection for
-simplicity), Project, Distinct/Reduced, OrderBy, and Slice.  The evaluator
-(:mod:`repro.sparql.evaluator`) walks this tree.
+simplicity), Project, Distinct/Reduced, OrderBy, and Slice.  The planner
+(:mod:`repro.sparql.planner`) compiles this tree into physical operators.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .ast import (
     AskQuery,
     BindPattern,
     BinaryExpr,
+    ConstructQuery,
     Expression,
     FilterPattern,
     FunctionCall,
@@ -83,12 +84,12 @@ class BGP(AlgebraNode):
     """A basic graph pattern.
 
     ``filters`` are conditions the optimizer pushed *into* the pattern:
-    the evaluator applies each one as soon as all of its variables are
+    the scan chain applies each one as soon as all of its variables are
     bound during the index-nested-loop join, so failing candidates are
     discarded before the remaining patterns are expanded.  Every filter's
     variables must be a subset of the BGP's own variables — the
     pushdown pass guarantees this.  ``preordered`` marks pattern orders
-    chosen by the statistics-driven reorder pass; the evaluator then
+    chosen by the statistics-driven reorder pass; the planner then
     skips its own greedy ordering.
     """
 
@@ -196,7 +197,7 @@ class Slice(AlgebraNode):
 class TopK(AlgebraNode):
     """Fused ``ORDER BY ... LIMIT k [OFFSET n]``.
 
-    Produced by the optimizer's top-k fusion pass; the evaluator keeps a
+    Produced by the optimizer's top-k fusion pass; the engine keeps a
     bounded heap of ``limit + offset`` rows instead of materialising and
     fully sorting the input.  Ties are broken by input arrival order, so
     the output is bit-identical to a stable full sort followed by a
@@ -463,4 +464,11 @@ def translate_query(query: Query) -> AlgebraNode:
         return translate_select(query)
     if isinstance(query, AskQuery):
         return Ask(translate_pattern(query.where))
+    if isinstance(query, ConstructQuery):
+        # The solutions the template is applied to: the WHERE pattern,
+        # with OFFSET / LIMIT slicing the solution sequence per the spec.
+        node = translate_pattern(query.where)
+        if query.limit is not None or query.offset:
+            node = Slice(node, offset=query.offset, limit=query.limit)
+        return node
     raise SparqlEvalError(f"unsupported query form: {query!r}")

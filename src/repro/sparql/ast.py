@@ -2,7 +2,7 @@
 
 The parser produces these nodes; :mod:`repro.sparql.algebra` lowers them
 to algebra operators.  Expression nodes double as the runtime expression
-representation (the evaluator walks them directly).
+representation (:mod:`repro.sparql.functions` walks them directly).
 """
 
 from __future__ import annotations

@@ -34,5 +34,5 @@ class ExpressionError(SparqlError):
 
     Per the SPARQL semantics, errors in expression evaluation do not abort
     the query: a FILTER treats them as false, and aggregates skip errored
-    values.  The evaluator catches this exception per solution.
+    values.  The operators catch this exception per solution.
     """

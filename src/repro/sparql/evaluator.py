@@ -1,94 +1,36 @@
-"""Evaluation of algebra trees over an RDF graph.
+"""The execution context of the SPARQL engine, and its uncached entry.
 
-The evaluator is a pull-based iterator pipeline over *solution mappings*
-(dicts from variable name to term).  BGPs are evaluated with a greedy
-selectivity-ordered index-nested-loop join; binary joins between algebra
-subtrees use hash joins on the shared variables.
+There is one engine: algebra trees compile
+(:mod:`repro.sparql.planner`) into suspendable ID-space operator trees
+(:mod:`repro.sparql.physical`) that the executor
+(:mod:`repro.sparql.executor`) drives — to completion when no budget is
+given, a quantum at a time otherwise.  This module holds what every such
+execution shares:
 
-Every operator counts the solutions it produces into an
-:class:`EvalStats`, which the simulated endpoint's cost model
-(:mod:`repro.endpoint.cost`) converts into simulated latency — this is
-how the reproduction makes the paper's "heavy queries" (Section 4,
-Fig. 4) measurably heavy without a billion-triple store.
+* :class:`EvalStats` — the work counters every operator counts into,
+  which the simulated endpoint's cost model
+  (:mod:`repro.endpoint.cost`) converts into simulated latency.  This
+  is how the reproduction makes the paper's "heavy queries" (Section 4,
+  Fig. 4) measurably heavy without a billion-triple store.
+* :class:`Evaluator` — the per-execution context a
+  :class:`~repro.sparql.planner.PhysicalPlan` hangs off its operators
+  (graph, term dictionary, stats, ``EXISTS`` support), which doubles as
+  the "compile and run to completion" entry behind :func:`evaluate` for
+  callers that hold no plan cache.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
-from ..obs.metrics import REGISTRY
 from ..rdf.graph import Graph
-from ..rdf.terms import Term
-from .algebra import (
-    Aggregation,
-    AlgebraNode,
-    Ask,
-    BGP,
-    Distinct,
-    Extend,
-    Filter,
-    Join,
-    LeftJoin,
-    Minus,
-    OrderBy,
-    Project,
-    Reduced,
-    Slice,
-    TopK,
-    Unit,
-    Union,
-    ValuesTable,
-    certain_variables,
-    expression_variables,
-    translate_query,
-)
-from .ast import (
-    AggregateExpr,
-    ConstructQuery,
-    PathExpr,
-    Projection,
-    Query,
-    SelectQuery,
-    TriplePatternNode,
-    Var,
-    VarExpr,
-)
-from .errors import ExpressionError, SparqlEvalError
-from .functions import (
-    Binding,
-    effective_boolean_value,
-    evaluate_expression,
-    term_order_key,
-)
-from .paths import eval_path
+from .algebra import AlgebraNode, translate_pattern, translate_query
+from .ast import Query
+from .functions import Binding
 from .parser import parse_query
-from .results import AskResult, GraphResult, SelectResult
 
-__all__ = ["EvalStats", "Evaluator", "evaluate", "evaluate_algebra"]
-
-_QUERIES_TOTAL = REGISTRY.counter(
-    "repro_eval_queries_total", "Queries evaluated by the SPARQL engine"
-)
-_BINDINGS_TOTAL = REGISTRY.counter(
-    "repro_eval_bindings_total",
-    "Intermediate solution mappings produced by all operators",
-)
-_PATTERN_SCANS_TOTAL = REGISTRY.counter(
-    "repro_eval_pattern_scans_total",
-    "Triple-pattern scans issued against the graph indexes",
-)
-_RESULTS_TOTAL = REGISTRY.counter(
-    "repro_eval_results_total", "Result rows returned to callers"
-)
-_JOIN_STRATEGY_TOTAL = REGISTRY.counter(
-    "repro_eval_join_strategy_total",
-    "Binary join executions by chosen strategy",
-    labelnames=("strategy",),
-)
-_JOIN_HASH = _JOIN_STRATEGY_TOTAL.labels(strategy="hash")
-_JOIN_PRODUCT = _JOIN_STRATEGY_TOTAL.labels(strategy="product")
+__all__ = ["EvalStats", "Evaluator", "evaluate"]
 
 
 @dataclass
@@ -113,848 +55,81 @@ class EvalStats:
         self.groups += other.groups
 
 
-def _compatible(left: Binding, right: Binding) -> bool:
-    for name, value in right.items():
-        bound = left.get(name)
-        if bound is not None and bound != value:
-            return False
-    return True
-
-
-def _merge(left: Binding, right: Binding) -> Binding:
-    merged = dict(left)
-    merged.update(right)
-    return merged
-
-
-def _binding_key(binding: Binding, names: Tuple[str, ...]) -> Tuple:
-    return tuple(binding.get(name) for name in names)
-
-
-def _chain_first(first: Binding, rest: Iterator[Binding]) -> Iterator[Binding]:
-    """Re-attach a peeked first element in front of its iterator."""
-    yield first
-    yield from rest
-
-
-# ----------------------------------------------------------------------
-# BGP planning helpers
-#
-# Module-level so the physical planner (:mod:`repro.sparql.planner`)
-# makes the identical ordering and filter-placement decisions — the
-# two engines must execute the same plan for result and stats parity.
-# ----------------------------------------------------------------------
-
-
-def pattern_selectivity(pattern: TriplePatternNode, bound: set) -> Tuple[int, int]:
-    """(negated bound positions, estimated scan size) — lower is better."""
-    bound_positions = 0
-    for term in pattern:
-        if not isinstance(term, Var) or term.name in bound:
-            bound_positions += 1
-    return (-bound_positions, 0)
-
-
-def order_patterns(
-    patterns: Iterable[TriplePatternNode],
-) -> List[TriplePatternNode]:
-    """Greedy selectivity ordering of a BGP's triple patterns."""
-    remaining = list(patterns)
-    ordered: List[TriplePatternNode] = []
-    bound: set = set()
-    while remaining:
-        remaining.sort(key=lambda p: pattern_selectivity(p, bound))
-        chosen = remaining.pop(0)
-        ordered.append(chosen)
-        bound |= chosen.variables()
-    return ordered
-
-
-def assign_filter_slots(
-    ordered: List[TriplePatternNode], filters
-) -> List[List]:
-    """Attach each pushed-in filter at the earliest join depth where all
-    of its variables are bound, so failing candidates are discarded
-    before the remaining patterns are expanded.  Slot 0 guards the
-    initial (empty) binding; slot ``i + 1`` applies to rows produced by
-    pattern ``i``."""
-    filters_at: List[List] = [[] for _ in range(len(ordered) + 1)]
-    if not filters:
-        return filters_at
-    bound_after: List[set] = []
-    bound: set = set()
-    for pattern in ordered:
-        bound |= pattern.variables()
-        bound_after.append(set(bound))
-    for condition in filters:
-        needed = expression_variables(condition)
-        slot = len(ordered)
-        for index, available in enumerate(bound_after):
-            if needed <= available:
-                slot = index + 1
-                break
-        if not needed:
-            slot = 0
-        filters_at[slot].append(condition)
-    return filters_at
-
-
-def result_variables(query: Query, algebra: AlgebraNode) -> List[str]:
-    """The projection variable names of a SELECT, in output order.
-
-    For ``SELECT *`` the variables mentioned in the pattern are
-    collected in first-use order from the algebra tree.
-    """
-    assert isinstance(query, SelectQuery)
-    if query.projections is not None:
-        return [projection.var.name for projection in query.projections]
-    ordered: List[str] = []
-
-    def visit(node: AlgebraNode) -> None:
-        if isinstance(node, BGP):
-            for pattern in node.patterns:
-                for term in pattern:
-                    if isinstance(term, Var) and term.name not in ordered:
-                        ordered.append(term.name)
-        elif isinstance(node, (Join, LeftJoin, Minus)):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, (Filter, Distinct, Reduced, Slice, OrderBy, TopK)):
-            visit(node.input)
-        elif isinstance(node, Extend):
-            visit(node.input)
-            if node.var.name not in ordered:
-                ordered.append(node.var.name)
-        elif isinstance(node, Union):
-            for branch in node.branches:
-                visit(branch)
-        elif isinstance(node, ValuesTable):
-            for var in node.variables:
-                if var.name not in ordered:
-                    ordered.append(var.name)
-        elif isinstance(node, Aggregation):
-            for projection in node.projections:
-                if projection.var.name not in ordered:
-                    ordered.append(projection.var.name)
-        elif isinstance(node, Project):
-            if node.variables is None:
-                visit(node.input)
-            else:
-                for var in node.variables:
-                    if var.name not in ordered:
-                        ordered.append(var.name)
-
-    visit(algebra)
-    return ordered
-
-
 class Evaluator:
-    """Evaluates algebra trees against one :class:`Graph`.
+    """One execution's shared context over one :class:`Graph`.
 
-    ``probe`` is an optional tracing hook (duck-typed; see
-    :class:`repro.obs.tracing.EvalProbe`): when set, every operator
-    iterator produced by :meth:`_eval` is passed through
-    ``probe.wrap(node, iterator)``, which is how ``EXPLAIN ANALYZE``
-    measures per-operator cardinalities and wall time.
+    Operators read ``graph``, encode/decode through ``dictionary``,
+    count into ``stats``, and pass the instance as the expression
+    ``context`` so ``EXISTS { ... }`` reaches :meth:`exists`.
     """
 
-    def __init__(self, graph: Graph, probe=None):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        #: the graph's term dictionary; the physical layer (which uses an
-        #: Evaluator as its shared runtime) encodes/decodes through it.
         self.dictionary = getattr(graph, "dictionary", None)
         self.stats = EvalStats()
-        self.probe = probe
+        #: EXISTS group pattern (by identity) -> compiled operator
+        #: factory.  Lives as long as the execution, never serialised:
+        #: a resumed plan recompiles on first use.
+        self._exists_plans: Dict[int, object] = {}
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
+    # The planner and executor import this module for the context class
+    # and the counters, so the entry points below import them lazily.
 
     def run(self, query: Query):
         """Evaluate a parsed query; returns a SelectResult, AskResult,
         or GraphResult (CONSTRUCT)."""
-        if isinstance(query, ConstructQuery):
-            return self._run_construct(query)
         return self.run_translated(query, translate_query(query))
 
     def run_translated(self, query: Query, algebra: AlgebraNode):
-        """Evaluate a query whose algebra tree is already translated.
+        """Compile ``algebra`` and run it to completion, uncached.
 
-        Callers that need to hold on to the exact operator objects being
-        executed (``EXPLAIN ANALYZE`` maps spans back to them) translate
-        once and pass the tree in here.
+        The run's work is added to ``self.stats`` (which the result
+        carries), so one instance can total several queries.
         """
-        snapshot = EvalStats()
-        snapshot.merge(self.stats)
-        try:
-            if isinstance(algebra, Ask):
-                for _ in self._eval(algebra.input):
-                    return AskResult(True, stats=self.stats)
-                return AskResult(False, stats=self.stats)
-            variables = self._result_variables(query, algebra)
-            rows = []
-            for binding in self._eval(algebra):
-                self.stats.results += 1
-                rows.append(binding)
-            return SelectResult(variables, rows, stats=self.stats)
-        finally:
-            self._flush_metrics(snapshot)
+        from . import executor
+        from .planner import PhysicalPlanFactory
 
-    def _result_variables(self, query: Query, algebra: AlgebraNode) -> List[str]:
-        return result_variables(query, algebra)
-
-    # ------------------------------------------------------------------
-    # CONSTRUCT
-    # ------------------------------------------------------------------
-
-    def _flush_metrics(self, snapshot: EvalStats) -> None:
-        """Emit this run's counter deltas into the process registry."""
-        _QUERIES_TOTAL.inc()
-        _BINDINGS_TOTAL.inc(
-            self.stats.intermediate_bindings - snapshot.intermediate_bindings
-        )
-        _PATTERN_SCANS_TOTAL.inc(
-            self.stats.pattern_scans - snapshot.pattern_scans
-        )
-        _RESULTS_TOTAL.inc(self.stats.results - snapshot.results)
-
-    def _run_construct(self, query: ConstructQuery):
-        from ..rdf.terms import BNode, URI
-        from .algebra import translate_pattern
-
-        snapshot = EvalStats()
-        snapshot.merge(self.stats)
-        solutions = self._eval(translate_pattern(query.where))
-        # Apply OFFSET / LIMIT to the solution sequence per the spec.
-        sliced: List[Binding] = []
-        for index, binding in enumerate(solutions):
-            if index < query.offset:
-                continue
-            if query.limit is not None and len(sliced) >= query.limit:
-                break
-            sliced.append(binding)
-        constructed = Graph()
-        bnode_serial = 0
-        for binding in sliced:
-            # Blank nodes in the template are freshened per solution.
-            bnode_serial += 1
-            fresh: Dict[str, BNode] = {}
-            for pattern in query.template:
-                terms = []
-                valid = True
-                for term in pattern:
-                    if isinstance(term, Var):
-                        value = binding.get(term.name)
-                        if value is None:
-                            valid = False
-                            break
-                        terms.append(value)
-                    elif isinstance(term, BNode):
-                        key = term.id
-                        if key not in fresh:
-                            fresh[key] = BNode(f"c{bnode_serial}_{key}")
-                        terms.append(fresh[key])
-                    else:
-                        terms.append(term)
-                if not valid:
-                    continue
-                subject, predicate, object = terms
-                if not isinstance(subject, (URI, BNode)):
-                    continue  # literal subjects are silently skipped
-                if not isinstance(predicate, URI):
-                    continue
-                constructed.add(subject, predicate, object)
-                self.stats.results += 1
-        self._flush_metrics(snapshot)
-        return GraphResult(constructed, stats=self.stats)
-
-    # ------------------------------------------------------------------
-    # EXISTS support (used as the expression-evaluation context)
-    # ------------------------------------------------------------------
+        plan = PhysicalPlanFactory(query, algebra).instantiate(self.graph)
+        result = executor.run_to_completion(plan)
+        self.stats.merge(plan.stats)
+        result.stats = self.stats
+        return result
 
     def exists(self, pattern, binding: Binding) -> bool:
         """Whether the group pattern has a solution compatible with
-        ``binding`` — the semantics of ``EXISTS { ... }``."""
-        from .algebra import translate_pattern
+        ``binding`` (a term-space row) — the semantics of ``EXISTS``.
 
-        for candidate in self.evaluate(translate_pattern(pattern)):
-            if _compatible(binding, candidate) and _compatible(candidate, binding):
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    # Operator dispatch
-    # ------------------------------------------------------------------
-
-    def evaluate(self, node: AlgebraNode) -> Iterator[Binding]:
-        """Evaluate a (sub-)plan and yield its solution mappings.
-
-        This is the public entry point for executing a bare algebra tree
-        — sub-plans (EXISTS patterns), :func:`evaluate_algebra`, and
-        tests all come through here rather than reaching into the
-        operator dispatch.
+        The pattern is compiled once per execution; each call pulls a
+        fresh sub-plan one row at a time and stops at the first
+        compatible solution.  The sub-plan shares this context, so its
+        work lands in the same ``stats``; it runs inside one operator
+        step and is the one island a quantum cannot suspend.
         """
-        return self._eval(node)
+        make = self._exists_plans.get(id(pattern))
+        if make is None:
+            from .planner import compile_node
 
-    def _eval(self, node: AlgebraNode) -> Iterator[Binding]:
-        """Evaluate one operator, routing through the probe when set."""
-        iterator = self._dispatch(node)
-        if self.probe is not None:
-            iterator = self.probe.wrap(node, iterator)
-        return iterator
-
-    def _dispatch(self, node: AlgebraNode) -> Iterator[Binding]:
-        if isinstance(node, Unit):
-            yield {}
-            return
-        if isinstance(node, BGP):
-            yield from self._eval_bgp(node)
-        elif isinstance(node, Join):
-            yield from self._eval_join(node)
-        elif isinstance(node, LeftJoin):
-            yield from self._eval_left_join(node)
-        elif isinstance(node, Filter):
-            yield from self._eval_filter(node)
-        elif isinstance(node, Union):
-            for branch in node.branches:
-                for binding in self._eval(branch):
-                    self.stats.intermediate_bindings += 1
-                    yield binding
-        elif isinstance(node, Minus):
-            yield from self._eval_minus(node)
-        elif isinstance(node, Extend):
-            yield from self._eval_extend(node)
-        elif isinstance(node, ValuesTable):
-            for row in node.rows:
-                binding = {
-                    var.name: value
-                    for var, value in zip(node.variables, row)
-                    if value is not None
-                }
-                self.stats.intermediate_bindings += 1
-                yield binding
-        elif isinstance(node, Aggregation):
-            yield from self._eval_aggregation(node)
-        elif isinstance(node, Project):
-            yield from self._eval_project(node)
-        elif isinstance(node, Distinct):
-            yield from self._eval_distinct(node)
-        elif isinstance(node, Reduced):
-            yield from self._eval_reduced(node)
-        elif isinstance(node, OrderBy):
-            yield from self._eval_order_by(node)
-        elif isinstance(node, TopK):
-            yield from self._eval_top_k(node)
-        elif isinstance(node, Slice):
-            yield from self._eval_slice(node)
-        else:
-            raise SparqlEvalError(f"unsupported algebra node: {node!r}")
-
-    # ------------------------------------------------------------------
-    # BGP
-    # ------------------------------------------------------------------
-
-    def _pattern_selectivity(
-        self, pattern: TriplePatternNode, bound: set
-    ) -> Tuple[int, int]:
-        return pattern_selectivity(pattern, bound)
-
-    def _order_patterns(
-        self, patterns: Iterable[TriplePatternNode]
-    ) -> List[TriplePatternNode]:
-        return order_patterns(patterns)
-
-    def _eval_bgp(self, node: BGP) -> Iterator[Binding]:
-        patterns = node.patterns
-        if not patterns:
-            binding: Binding = {}
-            for condition in node.filters:
-                try:
-                    if not effective_boolean_value(
-                        evaluate_expression(condition, binding, context=self)
-                    ):
-                        return
-                except ExpressionError:
-                    return
-            yield binding
-            return
-        if node.preordered:
-            ordered = list(patterns)
-        else:
-            ordered = self._order_patterns(patterns)
-        filters_at = assign_filter_slots(ordered, node.filters)
-
-        def passes(index: int, binding: Binding) -> bool:
-            for condition in filters_at[index]:
-                try:
-                    if not effective_boolean_value(
-                        evaluate_expression(condition, binding, context=self)
-                    ):
-                        return False
-                except ExpressionError:
-                    return False
-            return True
-
-        def extend(index: int, binding: Binding) -> Iterator[Binding]:
-            if not passes(index, binding):
-                return
-            if index == len(ordered):
-                yield binding
-                return
-            pattern = ordered[index]
-            if isinstance(pattern.predicate, PathExpr):
-                yield from extend_path(index, pattern, binding)
-                return
-            subject = self._instantiate(pattern.subject, binding)
-            predicate = self._instantiate(pattern.predicate, binding)
-            object = self._instantiate(pattern.object, binding)
-            self.stats.pattern_scans += 1
-            for triple in self.graph.triples(subject, predicate, object):
-                new_binding = dict(binding)
-                ok = True
-                for term, value in zip(pattern, triple):
-                    if isinstance(term, Var):
-                        existing = new_binding.get(term.name)
-                        if existing is None:
-                            new_binding[term.name] = value
-                        elif existing != value:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                self.stats.intermediate_bindings += 1
-                yield from extend(index + 1, new_binding)
-
-        def extend_path(
-            index: int, pattern: TriplePatternNode, binding: Binding
-        ) -> Iterator[Binding]:
-            subject = self._instantiate(pattern.subject, binding)
-            object = self._instantiate(pattern.object, binding)
-            self.stats.pattern_scans += 1
-            for start, end in eval_path(
-                self.graph, subject, pattern.predicate, object
-            ):
-                new_binding = dict(binding)
-                ok = True
-                for term, value in ((pattern.subject, start), (pattern.object, end)):
-                    if isinstance(term, Var):
-                        existing = new_binding.get(term.name)
-                        if existing is None:
-                            new_binding[term.name] = value
-                        elif existing != value:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                self.stats.intermediate_bindings += 1
-                yield from extend(index + 1, new_binding)
-
-        yield from extend(0, {})
-
-    @staticmethod
-    def _instantiate(term, binding: Binding) -> Optional[Term]:
-        if isinstance(term, Var):
-            return binding.get(term.name)
-        return term
-
-    # ------------------------------------------------------------------
-    # Joins
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _join_keys(node) -> Tuple[str, ...]:
-        """Hash-join key variables, derived statically from the algebra.
-
-        Keys are variables *certainly* bound on both sides (see
-        :func:`repro.sparql.algebra.certain_variables`), so a key lookup
-        can never miss a compatible row through an unbound variable.
-        Possibly-shared variables are left to the ``_compatible`` check.
-        """
-        return tuple(
-            sorted(
-                certain_variables(node.left) & certain_variables(node.right)
+            make = self._exists_plans[id(pattern)] = compile_node(
+                translate_pattern(pattern)
             )
-        )
-
-    def _eval_join(self, node: Join) -> Iterator[Binding]:
-        # The probe (left) side streams: a Slice/TopK ancestor that stops
-        # pulling terminates the left subtree early instead of
-        # materializing it.  Only the build (right) side is held in
-        # memory, and only once the left side proves non-empty.
-        left_iter = iter(self._eval(node.left))
-        try:
-            first_left = next(left_iter)
-        except StopIteration:
-            return
-        right_rows = list(self._eval(node.right))
-        if not right_rows:
-            return
-        shared = self._join_keys(node)
-        if not shared:
-            _JOIN_PRODUCT.inc()
-            for left in _chain_first(first_left, left_iter):
-                for right in right_rows:
-                    if _compatible(left, right):
-                        self.stats.intermediate_bindings += 1
-                        yield _merge(left, right)
-            return
-        _JOIN_HASH.inc()
-        table: Dict[Tuple, List[Binding]] = {}
-        for right in right_rows:
-            table.setdefault(_binding_key(right, shared), []).append(right)
-        for left in _chain_first(first_left, left_iter):
-            for right in table.get(_binding_key(left, shared), ()):
-                if _compatible(left, right):
-                    self.stats.intermediate_bindings += 1
-                    yield _merge(left, right)
-
-    def _eval_left_join(self, node: LeftJoin) -> Iterator[Binding]:
-        left_iter = iter(self._eval(node.left))
-        try:
-            first_left = next(left_iter)
-        except StopIteration:
-            return
-        right_rows = list(self._eval(node.right))
-        shared = self._join_keys(node)
-        table: Dict[Tuple, List[Binding]] = {}
-        for right in right_rows:
-            table.setdefault(_binding_key(right, shared), []).append(right)
-        for left in _chain_first(first_left, left_iter):
-            matched = False
-            candidates = (
-                table.get(_binding_key(left, shared), ()) if shared else right_rows
-            )
-            for right in candidates:
-                if not _compatible(left, right):
-                    continue
-                merged = _merge(left, right)
-                if node.condition is not None:
-                    try:
-                        if not effective_boolean_value(
-                            evaluate_expression(node.condition, merged, context=self)
-                        ):
-                            continue
-                    except ExpressionError:
-                        continue
-                matched = True
-                self.stats.intermediate_bindings += 1
-                yield merged
-            if not matched:
-                self.stats.intermediate_bindings += 1
-                yield dict(left)
-
-    def _eval_minus(self, node: Minus) -> Iterator[Binding]:
-        right_rows = list(self._eval(node.right))
-        for left in self._eval(node.left):
-            excluded = False
-            for right in right_rows:
-                shared = left.keys() & right.keys()
-                if shared and all(left[name] == right[name] for name in shared):
-                    excluded = True
-                    break
-            if not excluded:
-                self.stats.intermediate_bindings += 1
-                yield left
-
-    # ------------------------------------------------------------------
-    # Filters, extend
-    # ------------------------------------------------------------------
-
-    def _eval_filter(self, node: Filter) -> Iterator[Binding]:
-        for binding in self._eval(node.input):
-            try:
-                keep = effective_boolean_value(
-                    evaluate_expression(node.condition, binding, context=self)
-                )
-            except ExpressionError:
-                keep = False
-            if keep:
-                self.stats.intermediate_bindings += 1
-                yield binding
-
-    def _eval_extend(self, node: Extend) -> Iterator[Binding]:
-        for binding in self._eval(node.input):
-            if node.var.name in binding:
-                raise SparqlEvalError(
-                    f"BIND would rebind ?{node.var.name}"
-                )
-            new_binding = dict(binding)
-            try:
-                new_binding[node.var.name] = evaluate_expression(
-                    node.expression, binding, context=self
-                )
-            except ExpressionError:
-                pass  # BIND errors leave the variable unbound
-            self.stats.intermediate_bindings += 1
-            yield new_binding
-
-    # ------------------------------------------------------------------
-    # Grouping / aggregation
-    # ------------------------------------------------------------------
-
-    def _eval_aggregation(self, node: Aggregation) -> Iterator[Binding]:
-        members = list(self._eval(node.input))
-        groups: Dict[Tuple, List[Binding]] = {}
-        key_bindings: Dict[Tuple, Binding] = {}
-        if node.keys:
-            # Precompute (expression, plain-variable shortcut, bound name)
-            # per key: a bare ``GROUP BY ?x`` key is a dict lookup per
-            # member, not an expression-evaluator call.
-            key_specs = []
-            for key in node.keys:
-                expression = key.expression if isinstance(key, Projection) else key
-                assert expression is not None
-                var_name = (
-                    expression.var.name
-                    if isinstance(expression, VarExpr)
-                    else None
-                )
-                if isinstance(key, (Projection, VarExpr)):
-                    bind_name = key.var.name
-                else:
-                    bind_name = None
-                key_specs.append((expression, var_name, bind_name))
-            for member in members:
-                key_values: List[Optional[Term]] = []
-                key_binding: Binding = {}
-                for expression, var_name, bind_name in key_specs:
-                    if var_name is not None:
-                        value = member.get(var_name)
-                    else:
-                        try:
-                            value = evaluate_expression(expression, member, context=self)
-                        except ExpressionError:
-                            value = None
-                    key_values.append(value)
-                    if bind_name is not None and value is not None:
-                        key_binding[bind_name] = value
-                group_key = tuple(key_values)
-                groups.setdefault(group_key, []).append(member)
-                key_bindings.setdefault(group_key, key_binding)
-        else:
-            # Implicit single group; per spec an empty input still yields
-            # one group for aggregates like COUNT(*) = 0.
-            groups[()] = members
-            key_bindings[()] = {}
-        for group_key, group_members in groups.items():
-            self.stats.groups += 1
-            key_binding = key_bindings[group_key]
-            skip = False
-            for having in node.having:
-                try:
-                    if not effective_boolean_value(
-                        evaluate_expression(having, key_binding, group_members, context=self)
-                    ):
-                        skip = True
-                        break
-                except ExpressionError:
-                    skip = True
-                    break
-            if skip:
-                continue
-            out: Binding = {}
-            for projection in node.projections:
-                if projection.expression is None:
-                    value = key_binding.get(projection.var.name)
-                    if value is not None:
-                        out[projection.var.name] = value
-                    continue
-                try:
-                    out[projection.var.name] = evaluate_expression(
-                        projection.expression, key_binding, group_members, context=self
-                    )
-                except ExpressionError:
-                    pass
-            self.stats.intermediate_bindings += 1
-            yield out
-
-    # ------------------------------------------------------------------
-    # Solution modifiers
-    # ------------------------------------------------------------------
-
-    def _eval_project(self, node: Project) -> Iterator[Binding]:
-        extensions = {
-            projection.var.name: projection.expression
-            for projection in node.extensions
-        }
-        for binding in self._eval(node.input):
-            if node.variables is None:
-                yield binding
-                continue
-            out: Binding = {}
-            for var in node.variables:
-                expression = extensions.get(var.name)
-                if expression is not None:
-                    try:
-                        out[var.name] = evaluate_expression(expression, binding, context=self)
-                    except ExpressionError:
-                        pass
-                elif var.name in binding:
-                    out[var.name] = binding[var.name]
-            yield out
-
-    def _eval_distinct(self, node: Distinct) -> Iterator[Binding]:
-        seen: set = set()
-        key_order = _IncrementalKeyOrder()
-        for binding in self._eval(node.input):
-            key = key_order.key(binding)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield binding
-
-    def _eval_reduced(self, node: Reduced) -> Iterator[Binding]:
-        previous: Optional[Tuple] = None
-        key_order = _IncrementalKeyOrder()
-        for binding in self._eval(node.input):
-            key = key_order.key(binding)
-            if key == previous:
-                continue
-            previous = key
-            yield binding
-
-    def _order_key(self, conditions, binding: Binding) -> List:
-        """The comparison key of one solution under ORDER BY conditions.
-
-        Shared by the full sort (:meth:`_eval_order_by`) and the bounded
-        top-k heap (:meth:`_eval_top_k`) so both rank rows identically.
-        """
-        keys = []
-        for condition in conditions:
-            try:
-                value = evaluate_expression(condition.expression, binding, context=self)
-            except ExpressionError:
-                value = None
-            key = term_order_key(value)
-            if condition.descending:
-                keys.append(_Reversed(key))
-            else:
-                keys.append(key)
-        return keys
-
-    def _eval_order_by(self, node: OrderBy) -> Iterator[Binding]:
-        rows = list(self._eval(node.input))
-        rows.sort(key=lambda binding: self._order_key(node.conditions, binding))
-        yield from rows
-
-    def _eval_top_k(self, node: TopK) -> Iterator[Binding]:
-        """Bounded heap for fused ``ORDER BY ... LIMIT``.
-
-        Keeps at most ``limit + offset`` rows; ties between equal sort
-        keys fall back to arrival order, so the output is identical to a
-        stable full sort followed by the slice.
-        """
-        bound = node.limit + node.offset
-        if bound <= 0:
-            return
-        heap: List[_TopKEntry] = []
-        for serial, binding in enumerate(self._eval(node.input)):
-            key = self._order_key(node.conditions, binding)
-            if len(heap) < bound:
-                heapq.heappush(heap, _TopKEntry(key, serial, binding))
-            elif _order_lt(key, serial, heap[0].key, heap[0].serial):
-                heapq.heapreplace(heap, _TopKEntry(key, serial, binding))
-        ordered = sorted(heap)
-        ordered.reverse()
-        for entry in ordered[node.offset :]:
-            yield entry.binding
-
-    def _eval_slice(self, node: Slice) -> Iterator[Binding]:
-        iterator = self._eval(node.input)
-        for _ in range(node.offset):
-            try:
-                next(iterator)
-            except StopIteration:
-                return
-        if node.limit is None:
-            yield from iterator
-            return
-        for _ in range(node.limit):
-            try:
-                yield next(iterator)
-            except StopIteration:
-                return
-
-
-class _Reversed:
-    """Wrapper inverting the comparison order of a sort key."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and self.key == other.key
-
-
-class _IncrementalKeyOrder:
-    """Stable dedup keys without per-row sorting.
-
-    DISTINCT/REDUCED need a hashable key per solution; sorting every
-    binding's items is O(v log v) per row.  Instead, variable names are
-    assigned a fixed order on first sight, and each key lists the
-    (name, value) pairs present in that order — two bindings get equal
-    keys exactly when they bind the same variables to the same terms.
-    """
-
-    __slots__ = ("order", "known")
-
-    def __init__(self) -> None:
-        self.order: List[str] = []
-        self.known: set = set()
-
-    def key(self, binding: Binding) -> Tuple:
-        for name in binding:
-            if name not in self.known:
-                self.known.add(name)
-                self.order.append(name)
-        return tuple(
-            (name, binding[name]) for name in self.order if name in binding
-        )
-
-
-def _order_lt(key_a: List, serial_a: int, key_b: List, serial_b: int) -> bool:
-    """Whether row A sorts strictly before row B (arrival-order tiebreak)."""
-    if key_a < key_b:
-        return True
-    if key_b < key_a:
+        decode = self.dictionary.decode
+        root = make(self)
+        while not root.done:
+            for candidate in root.next(1):
+                if all(
+                    decode(value) == binding[name]
+                    for name, value in candidate.items()
+                    if name in binding
+                ):
+                    return True
         return False
-    return serial_a < serial_b
-
-
-class _TopKEntry:
-    """Heap entry for :meth:`Evaluator._eval_top_k`.
-
-    ``__lt__`` is inverted so :mod:`heapq`'s min-heap keeps the *worst*
-    retained row at the root, ready to be evicted by a better arrival.
-    """
-
-    __slots__ = ("key", "serial", "binding")
-
-    def __init__(self, key: List, serial: int, binding: Binding) -> None:
-        self.key = key
-        self.serial = serial
-        self.binding = binding
-
-    def __lt__(self, other: "_TopKEntry") -> bool:
-        return _order_lt(other.key, other.serial, self.key, self.serial)
 
 
 def evaluate(graph: Graph, query_text: str):
     """Parse and evaluate a SPARQL query over ``graph``.
 
-    Returns a :class:`repro.sparql.results.SelectResult` or
-    :class:`repro.sparql.results.AskResult`.
+    Returns a :class:`~repro.sparql.results.SelectResult`,
+    :class:`~repro.sparql.results.AskResult` or
+    :class:`~repro.sparql.results.GraphResult`.
     """
-    query = parse_query(query_text)
-    return Evaluator(graph).run(query)
-
-
-def evaluate_algebra(graph: Graph, node: AlgebraNode) -> List[Binding]:
-    """Evaluate a bare algebra tree; returns the solution list."""
-    evaluator = Evaluator(graph)
-    return list(evaluator.evaluate(node))
+    return Evaluator(graph).run(parse_query(query_text))

@@ -32,18 +32,19 @@ import base64
 import binascii
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.metrics import REGISTRY
 from ..rdf.graph import Graph
-from .errors import SparqlError
+from .ast import AskQuery, ConstructQuery
+from .errors import SparqlError, SparqlEvalError
 from .evaluator import EvalStats
 from .functions import Binding
 from .physical import BLOCK, PlanStateError
 from .planner import PhysicalPlan, PhysicalPlanFactory
-from .results import AskResult, SelectResult
+from .results import AskResult, GraphResult, SelectResult, construct_graph
 
 __all__ = [
     "TOKEN_VERSION",
@@ -56,6 +57,7 @@ __all__ = [
     "Page",
     "run_quantum",
     "run_to_completion",
+    "run_request",
     "encode_continuation",
     "decode_continuation",
     "restore_plan",
@@ -80,6 +82,20 @@ TOKEN_VERSION = 2
 #: Default time slice when paging is requested without an explicit quantum.
 DEFAULT_QUANTUM_MS = 50.0
 
+_QUERIES_TOTAL = REGISTRY.counter(
+    "repro_eval_queries_total", "Queries evaluated by the SPARQL engine"
+)
+_BINDINGS_TOTAL = REGISTRY.counter(
+    "repro_eval_bindings_total",
+    "Intermediate solution mappings produced by all operators",
+)
+_PATTERN_SCANS_TOTAL = REGISTRY.counter(
+    "repro_eval_pattern_scans_total",
+    "Triple-pattern scans issued against the graph indexes",
+)
+_RESULTS_TOTAL = REGISTRY.counter(
+    "repro_eval_results_total", "Result rows returned to callers"
+)
 _PAGES_TOTAL = REGISTRY.counter(
     "repro_exec_pages_total",
     "Result pages served by the physical executor, by outcome",
@@ -146,14 +162,25 @@ class Page:
     stats: EvalStats = field(default_factory=EvalStats)
 
 
-def _stats_delta(before: EvalStats, after: EvalStats) -> EvalStats:
-    return EvalStats(
+def _flush_work(plan: PhysicalPlan, before: EvalStats) -> EvalStats:
+    """The work ``plan`` did since ``before``, also emitted into the
+    process registry — the one place the ``repro_eval_*`` counters move,
+    whether the plan ran one-shot, paged, or on a pool worker."""
+    after = plan.stats
+    delta = EvalStats(
         intermediate_bindings=after.intermediate_bindings
         - before.intermediate_bindings,
         pattern_scans=after.pattern_scans - before.pattern_scans,
         results=after.results - before.results,
         groups=after.groups - before.groups,
     )
+    if plan.fresh:  # a restored plan continues a query already counted
+        plan.fresh = False
+        _QUERIES_TOTAL.inc()
+    _BINDINGS_TOTAL.inc(delta.intermediate_bindings)
+    _PATTERN_SCANS_TOTAL.inc(delta.pattern_scans)
+    _RESULTS_TOTAL.inc(delta.results)
+    return delta
 
 
 def run_quantum(
@@ -163,7 +190,8 @@ def run_quantum(
 ) -> Page:
     """Drive ``plan`` until done, deadline, or row budget.
 
-    With neither bound set this runs to completion.  The plan stays
+    With neither bound set this runs to completion: one-shot execution
+    is a quantum with nothing to stop it.  The plan stays
     live; serialising it into a token (or keeping it in a scheduler) is
     the caller's choice.  The root is asked for at most the rows the
     page still has room for, so a page never overshoots its budget and
@@ -183,8 +211,7 @@ def run_quantum(
         raise InvalidBudgetError(
             f"quantum_ms must be positive, not {quantum_ms!r}"
         )
-    before = EvalStats()
-    before.merge(plan.stats)
+    before = replace(plan.stats)
     deadline = (
         perf_counter() + quantum_ms / 1000.0 if quantum_ms is not None else None
     )
@@ -216,23 +243,58 @@ def run_quantum(
         variables=plan.variables,
         complete=complete,
         reason=reason if not complete else "complete",
-        stats=_stats_delta(before, plan.stats),
+        stats=_flush_work(plan, before),
     )
 
 
 def run_to_completion(plan: PhysicalPlan):
-    """Run a plan to the end and box the result like the evaluator.
+    """Run a plan to the end and box the result by query form.
 
     Returns an :class:`AskResult` for ASK plans (short-circuiting on the
-    first solution) and a :class:`SelectResult` otherwise.
+    first solution), a :class:`GraphResult` for CONSTRUCT (the template
+    applied to the solutions) and a :class:`SelectResult` otherwise.
     """
-    if plan.is_ask:
-        while not plan.root.done:
-            if plan.root.next(1):
-                return AskResult(True, stats=plan.stats)
-        return AskResult(False, stats=plan.stats)
+    query = plan.factory.query
+    if isinstance(query, AskQuery):
+        before = replace(plan.stats)
+        found = False
+        while not (found or plan.root.done):
+            found = bool(plan.root.next(1))
+        _flush_work(plan, before)
+        return AskResult(found, stats=plan.stats)
     page = run_quantum(plan)
+    if isinstance(query, ConstructQuery):
+        return GraphResult(
+            construct_graph(query.template, page.rows), stats=plan.stats
+        )
     return SelectResult(page.variables, page.rows, stats=plan.stats)
+
+
+def run_request(
+    plan: PhysicalPlan,
+    quantum_ms: Optional[float] = None,
+    page_size: Optional[int] = None,
+) -> Tuple[object, EvalStats, bool]:
+    """One endpoint request's share of ``plan``: ``(result, stats,
+    complete)``, where ``stats`` is the work this request did.
+
+    A SELECT runs one quantum — to the end when no budget is given.
+    ASK and CONSTRUCT answer in one piece: an ASK ignores the budget
+    (it stops at its first solution anyway), a budgeted CONSTRUCT is
+    refused, since a graph has no row sequence to cut a page from.
+    """
+    if plan.factory.pageable:
+        page = run_quantum(plan, quantum_ms=quantum_ms, page_size=page_size)
+        result = SelectResult(page.variables, page.rows, stats=page.stats)
+        return result, page.stats, page.complete
+    if isinstance(plan.factory.query, ConstructQuery) and not (
+        quantum_ms is None and page_size is None
+    ):
+        raise SparqlEvalError(
+            "CONSTRUCT answers with one graph and cannot be paged; "
+            "drop page_size / quantum_ms"
+        )
+    return run_to_completion(plan), plan.stats, True
 
 
 # ----------------------------------------------------------------------
@@ -293,8 +355,14 @@ def restore_plan(
     the token was minted (a resumed scan-offset replay would silently
     skip or duplicate rows — invalidation is the only sound answer), and
     :class:`MalformedTokenError` when the state tree does not fit the
-    plan compiled from the token's own query.
+    plan compiled from the token's own query — or that query is an ASK
+    or CONSTRUCT, which answer in one piece and never mint tokens.
     """
+    if not factory.pageable:
+        _TOKEN_REJECTS_TOTAL.labels(reason="malformed").inc()
+        raise MalformedTokenError(
+            "only SELECT queries issue continuation tokens"
+        )
     if blob["graph"] != graph.version:
         _TOKEN_REJECTS_TOTAL.labels(reason="expired").inc()
         raise ExpiredTokenError(

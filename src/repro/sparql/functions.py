@@ -172,6 +172,14 @@ def term_order_key(term: Optional[Term]):
     return (4, term.lexical, 0.0, term.datatype or term.language or "")
 
 
+def extreme_order_key(term: Term):
+    """The key MIN / MAX rank by: :func:`term_order_key`, with value
+    ties (``"0.25"^^xsd:decimal`` vs ``"0.25"^^xsd:double``) broken by
+    the term's own ``sort_key()`` — so the extreme of a group does not
+    depend on the order its members were scanned or merged in."""
+    return (term_order_key(term), term.sort_key())
+
+
 # ----------------------------------------------------------------------
 # Builtins
 # ----------------------------------------------------------------------
@@ -418,9 +426,9 @@ def evaluate_expression(
     """Evaluate ``expression`` against ``binding``.
 
     ``group`` supplies the member solutions when the expression contains
-    aggregates (grouped queries).  ``context`` is the evaluator hosting
-    EXISTS pattern checks (anything with an ``exists(pattern, binding)``
-    method).  Raises :class:`ExpressionError` on evaluation errors
+    aggregates (grouped queries).  ``context`` is the execution context
+    hosting EXISTS pattern checks (anything with an
+    ``exists(pattern, binding)`` method).  Raises :class:`ExpressionError` on evaluation errors
     (unbound variable, type error, ...).
     """
     if isinstance(expression, VarExpr):
@@ -640,8 +648,7 @@ def evaluate_aggregate(aggregate: AggregateExpr, group: List[Binding]) -> Term:
             return _numeric_literal(0)
         raise ExpressionError(f"{name} of empty group")
     if name in ("MIN", "MAX"):
-        keyed = sorted(values, key=term_order_key)
-        return keyed[0] if name == "MIN" else keyed[-1]
+        return (min if name == "MIN" else max)(values, key=extreme_order_key)
     numbers = [_numeric_value(v) for v in values]
     if name == "SUM":
         total = sum(numbers)

@@ -23,7 +23,7 @@ Passes, in pipeline order:
     Moves filters as close to the data as possible: below joins when one
     side certainly binds all of the condition's variables, into every
     branch of a UNION, below BIND when the bound variable is not
-    referenced, and *into* BGPs — where the evaluator applies them
+    referenced, and *into* BGPs — where the scan chain applies them
     mid-join, before remaining patterns are expanded.  Conjunctions are
     split so each conjunct travels independently.  Conditions containing
     EXISTS or aggregates never move.
@@ -36,7 +36,7 @@ Passes, in pipeline order:
 ``stats_reorder``
     Statistics-driven join ordering.  Per-predicate/per-class cardinality
     summaries (:class:`repro.rdf.stats.GraphStatistics`) replace the
-    evaluator's bound-position heuristic: BGP patterns are greedily
+    planner's bound-position heuristic: BGP patterns are greedily
     ordered by estimated result size, and join operands are swapped so
     the smaller side is materialised first.
 

@@ -20,11 +20,11 @@ any process mapping the same store (the pre-PR 8 kernel iterated
 unordered ``set`` objects, whose order is not reproducible in a
 respawned worker).
 
-The historical term-space API is kept as a thin wrapper for the
-recursive evaluator: :func:`eval_path` yields distinct
-``(subject, object)`` term pairs by encoding the endpoints, driving the
-same pair iterators, and decoding each emitted pair — so both engines
-produce the same rows in the same order by construction.
+The term-space API is kept as a thin wrapper for callers outside the
+engine (the exploration layer, the test oracle): :func:`eval_path`
+yields distinct ``(subject, object)`` term pairs by encoding the
+endpoints, driving the same pair iterators, and decoding each emitted
+pair — the same rows in the same order by construction.
 """
 
 from __future__ import annotations
@@ -802,7 +802,7 @@ def build_pair_iterator(graph: Graph, code, subject, object) -> PairIterator:
 
 
 # ----------------------------------------------------------------------
-# Term-space wrappers (the recursive evaluator's view)
+# Term-space wrappers
 # ----------------------------------------------------------------------
 
 
@@ -816,9 +816,9 @@ def eval_path(
 
     ``subject`` / ``object`` of None mean unconstrained; bound endpoints
     restrict (and direct) the search.  A thin decode loop over the
-    ID-space pair iterators, so the recursive evaluator and the
-    physical :class:`~repro.sparql.physical.ppath.PathScanOp` walk
-    paths identically (rows *and* order).
+    ID-space pair iterators the physical
+    :class:`~repro.sparql.physical.ppath.PathScanOp` drives, so both
+    walk paths identically (rows *and* order).
     """
     dictionary = graph.dictionary
     code = lower_path(path, dictionary.lookup)

@@ -1,10 +1,10 @@
 """Suspendable physical operators for the SPARQL engine.
 
-The evaluator (:mod:`repro.sparql.evaluator`) is a tree of recursive
-generators: it always runs to completion and its control state lives on
-the Python stack, so a heavy query cannot be paused.  This package is
-the engine's *physical* layer in the style of sage-engine's preemptable
-iterators: every operator is an explicit object with a uniform
+This package is the engine's execution layer, in the style of
+sage-engine's preemptable iterators.  A tree of recursive generators
+keeps its control state on the Python stack and can only run to
+completion, so a heavy query could not be paused; here every operator
+is an explicit object with a uniform
 
     ``next(limit) -> List[Binding]`` / ``save() -> state`` / ``load(state)``
 

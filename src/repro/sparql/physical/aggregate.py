@@ -14,13 +14,10 @@ from ..functions import (
     _string_value,
     effective_boolean_value,
     evaluate_expression,
+    extreme_order_key,
     term_order_key,
 )
 from ...rdf.terms import Literal, Term
-
-# Private on purpose: the physical layer shares the evaluator's ordering
-# helpers so both engines rank identically.
-from ..evaluator import _Reversed, _TopKEntry
 from .base import (
     BLOCK,
     PhysicalOperator,
@@ -46,9 +43,9 @@ class _StreamingAgg:
 
     Mirrors :func:`repro.sparql.functions.evaluate_aggregate` exactly
     for the non-DISTINCT aggregates — same skip-on-error semantics per
-    member, same tie-breaking for MIN/MAX (first/last among equals, as
-    the stable sort picks), same left-to-right float addition for
-    SUM/AVG — so a group folded one member at a time produces the same
+    member, same ``extreme_order_key`` ranking for MIN/MAX (the
+    extreme does not depend on member order), same left-to-right float
+    addition for SUM/AVG — so a group folded one member at a time produces the same
     term the batch evaluation of its member list would.  The point is
     state: a fold suspends as O(1) accumulator fields where the batch
     path must serialise every member row into the continuation token.
@@ -92,13 +89,11 @@ class _StreamingAgg:
             if self.best is None:
                 self.best = value
         elif name in ("MIN", "MAX"):
-            key = term_order_key(value)
-            if self.best is None:
-                self.best, self.best_key = value, key
-            elif name == "MIN":
-                if key < self.best_key:  # first among equals stays
-                    self.best, self.best_key = value, key
-            elif key >= self.best_key:  # last among equals wins
+            key = extreme_order_key(value)
+            if (
+                self.best is None
+                or (key < self.best_key if name == "MIN" else key > self.best_key)
+            ):
                 self.best, self.best_key = value, key
         elif name == "GROUP_CONCAT":
             if self.bad:
@@ -161,7 +156,7 @@ class _StreamingAgg:
         self.total = state.get("total", 0)
         self.best = _decode_opt_term(state.get("best"))
         self.best_key = (
-            term_order_key(self.best) if self.best is not None else None
+            extreme_order_key(self.best) if self.best is not None else None
         )
         self.parts = state.get("parts")
         self.bad = bool(state.get("bad", False))
@@ -559,8 +554,51 @@ class AggregationOp(PhysicalOperator):
                     self._groups[group_key] = members
 
 
+class _Reversed:
+    """Wrapper inverting the comparison order of a sort key."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __lt__(self, other: "_Reversed") -> bool:
+        return other.key < self.key
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Reversed) and self.key == other.key
+
+
+def _order_lt(key_a: List, serial_a: int, key_b: List, serial_b: int) -> bool:
+    """Whether row A sorts strictly before row B (arrival-order tiebreak)."""
+    if key_a < key_b:
+        return True
+    if key_b < key_a:
+        return False
+    return serial_a < serial_b
+
+
+class _TopKEntry:
+    """Heap entry for :class:`TopKOp`.
+
+    ``__lt__`` is inverted so :mod:`heapq`'s min-heap keeps the *worst*
+    retained row at the root, ready to be evicted by a better arrival.
+    """
+
+    __slots__ = ("key", "serial", "binding")
+
+    def __init__(self, key: List, serial: int, binding: Binding) -> None:
+        self.key = key
+        self.serial = serial
+        self.binding = binding
+
+    def __lt__(self, other: "_TopKEntry") -> bool:
+        return _order_lt(other.key, other.serial, self.key, self.serial)
+
+
 def _order_key(conditions, binding: Binding, runtime) -> List:
-    """The ORDER BY comparison key of one solution (evaluator parity).
+    """The ORDER BY comparison key of one solution, shared by the full
+    sort and the bounded top-k heap so both rank rows identically.
 
     ``binding`` is an encoded row; sort keys need lexical values, so
     this is one of the expression boundaries that decodes.
@@ -644,7 +682,12 @@ class OrderByOp(_UnaryOp):
 
 
 class TopKOp(_UnaryOp):
-    """Bounded heap for fused ORDER BY ... LIMIT (evaluator parity)."""
+    """Bounded heap for fused ORDER BY ... LIMIT.
+
+    Keeps at most ``limit + offset`` rows; ties between equal sort keys
+    fall back to arrival order, so the output is identical to a stable
+    full sort followed by the slice.
+    """
 
     label = "TopK"
 
@@ -678,8 +721,6 @@ class TopKOp(_UnaryOp):
             self.done = True
             return []
         if self._phase == "build":
-            from ..evaluator import _order_lt
-
             if self.child.done:
                 self._finalize()
                 return []

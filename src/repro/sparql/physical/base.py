@@ -179,13 +179,13 @@ class PhysicalOperator:
     the scans read, whose ``stats`` every operator counts into (the cost
     model bills pages from the deltas), and which serves as the
     expression-evaluation context so ``EXISTS { ... }`` keeps working
-    (EXISTS sub-patterns run through the evaluator and are the one
-    non-preemptible island, as in sage).
+    (an EXISTS sub-pattern runs as a physical sub-plan inside one
+    operator step — the one non-preemptible island, as in sage).
 
     ``rows_produced`` / ``wall_s`` / ``calls`` are live observability
     counters (``calls`` counts ``next(limit)`` calls, each worth up to
-    :data:`BLOCK` rows); ``EXPLAIN ANALYZE`` on the physical engine
-    reads them directly instead of wrapping iterators in probe spans.
+    :data:`BLOCK` rows); ``EXPLAIN ANALYZE`` and ``trace=True`` read
+    them directly off the finished tree.
     """
 
     label = "Physical"

@@ -5,10 +5,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-# Private on purpose: the physical layer shares the evaluator's join
-# strategy metric and merge helpers so both engines report and rank
-# identically.
-from ..evaluator import _JOIN_HASH, _JOIN_PRODUCT, _binding_key, _compatible, _merge
+from ...obs.metrics import REGISTRY
 from ..functions import Binding
 from .base import (
     BLOCK,
@@ -20,6 +17,32 @@ from .base import (
 )
 
 __all__ = ["HashJoinOp", "LeftJoinOp", "MinusOp", "UnionOp"]
+
+_JOIN_STRATEGY_TOTAL = REGISTRY.counter(
+    "repro_eval_join_strategy_total",
+    "Binary join executions by chosen strategy",
+    labelnames=("strategy",),
+)
+_JOIN_HASH = _JOIN_STRATEGY_TOTAL.labels(strategy="hash")
+_JOIN_PRODUCT = _JOIN_STRATEGY_TOTAL.labels(strategy="product")
+
+
+def _compatible(left: Binding, right: Binding) -> bool:
+    for name, value in right.items():
+        bound = left.get(name)
+        if bound is not None and bound != value:
+            return False
+    return True
+
+
+def _merge(left: Binding, right: Binding) -> Binding:
+    merged = dict(left)
+    merged.update(right)
+    return merged
+
+
+def _binding_key(binding: Binding, names: Tuple[str, ...]) -> Tuple:
+    return tuple(binding.get(name) for name in names)
 
 
 class UnionOp(PhysicalOperator):
@@ -69,10 +92,10 @@ def _next_left_row(join) -> Optional[Binding]:
     """A join's next left row — the peeked one first — or ``None``.
 
     One row at a time: joins look at a single left row before touching
-    the right subtree (an empty left never evaluates it, the
-    evaluator's laziness), and a probe's resume state is "current probe
-    row + bucket offset", so a second probe row is never held.  ``None``
-    means no row this call; ``join.done`` is set once ``left`` is dry.
+    the right subtree (an empty left never evaluates it), and a probe's
+    resume state is "current probe row + bucket offset", so a second
+    probe row is never held.  ``None`` means no row this call;
+    ``join.done`` is set once ``left`` is dry.
     """
     row = join._pending
     if row is not None:
@@ -91,11 +114,10 @@ class HashJoinOp(PhysicalOperator):
     """Hash join: build the right side, stream the left (probe) side.
 
     Phases: ``peek`` pulls the first left row (so an empty left never
-    evaluates the right subtree, matching the evaluator's laziness),
-    ``build`` drains the right side into buckets in bounded chunks, and
-    ``probe`` streams the left.  With no key variables the single ``()``
-    bucket holds every right row and the join degrades to a product
-    guarded by the compatibility check.  Because the probe side streams,
+    evaluates the right subtree), ``build`` drains the right side into
+    buckets in bounded chunks, and ``probe`` streams the left.  With no
+    key variables the single ``()`` bucket holds every right row and the
+    join degrades to a product guarded by the compatibility check.  Because the probe side streams,
     a ``Slice`` ancestor bounds how much of the left subtree is ever
     scanned.
     """

@@ -24,7 +24,7 @@ class MaterializeOp(_UnaryOp):
     everything downstream — SPARQL-JSON serialisation, chart labels,
     clients of ``plan.root.next()`` — sees ordinary ``Term`` bindings.
     It adds no ``EvalStats`` work (materialization is representation,
-    not query work, and the recursive evaluator has no analogue).
+    not query work).
     """
 
     label = "Materialize"

@@ -47,9 +47,8 @@ class PathScanOp(PhysicalOperator):
     ID, free variable → unconstrained) and drives a pair iterator for
     the lowered path, merging each emitted ``(s, o)`` ID pair into the
     binding.  ``pre_filters``/``post_filters`` behave exactly as on the
-    flat scan, and stats accounting matches the recursive evaluator's
-    ``extend_path`` (one ``pattern_scans`` per outer binding, one
-    ``intermediate_bindings`` per merged pair).
+    flat scan, and so does stats accounting (one ``pattern_scans`` per
+    outer binding, one ``intermediate_bindings`` per merged pair).
     """
 
     label = "PathScan"

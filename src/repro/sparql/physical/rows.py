@@ -29,7 +29,7 @@ __all__ = [
 
 
 class FilterOp(_UnaryOp):
-    """A standalone FILTER (counts passing rows, like the evaluator)."""
+    """A standalone FILTER (counts passing rows)."""
 
     label = "Filter"
 
@@ -130,7 +130,14 @@ class ProjectOp(_UnaryOp):
 
 
 class _KeyOrder:
-    """First-seen variable order for stable dedup keys (see evaluator)."""
+    """Stable dedup keys without per-row sorting.
+
+    DISTINCT/REDUCED need a hashable key per solution; sorting every
+    binding's items is O(v log v) per row.  Instead, variable names are
+    assigned a fixed order on first sight, and each key lists the
+    (name, value) pairs present in that order — two bindings get equal
+    keys exactly when they bind the same variables to the same values.
+    """
 
     __slots__ = ("order", "known")
 

@@ -11,19 +11,18 @@ query builds on a fresh or restored tree) calls
 :meth:`PhysicalPlanFactory.instantiate` to get a new stateful
 :class:`PhysicalPlan` in O(plan size).
 
-Decision parity with the recursive evaluator is deliberate and load-
-bearing: both engines share :func:`~repro.sparql.evaluator.order_patterns`,
-:func:`~repro.sparql.evaluator.assign_filter_slots`, and
-:func:`~repro.sparql.algebra.certain_variables`, so a plan executed in
-time slices produces the same result multiset *and* the same
-:class:`~repro.sparql.evaluator.EvalStats` work counters as one-shot
-evaluation — which keeps the cost model's simulated latency comparable
-across both paths.
+Every decision is static — :func:`order_patterns`,
+:func:`assign_filter_slots`, :func:`~repro.sparql.algebra.certain_variables`
+read the algebra, never the run — so a plan executed in time slices
+produces the same rows *and* the same
+:class:`~repro.sparql.evaluator.EvalStats` work counters as the same
+plan run to completion, which keeps the cost model's simulated latency
+independent of how a result was paged.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Iterable, List, Tuple
 
 from ..rdf.graph import Graph
 from .algebra import (
@@ -46,16 +45,12 @@ from .algebra import (
     Union,
     ValuesTable,
     certain_variables,
+    expression_variables,
     translate_query,
 )
-from .ast import AskQuery, PathExpr, Query, SelectQuery
+from .ast import PathExpr, Query, SelectQuery, TriplePatternNode, Var
 from .errors import SparqlEvalError
-from .evaluator import (
-    Evaluator,
-    assign_filter_slots,
-    order_patterns,
-    result_variables,
-)
+from .evaluator import Evaluator
 from .parser import parse_query
 from .physical import (
     AggregationOp,
@@ -90,6 +85,116 @@ __all__ = [
 OperatorFactory = Callable[[Evaluator], PhysicalOperator]
 
 
+# ----------------------------------------------------------------------
+# BGP planning decisions
+# ----------------------------------------------------------------------
+
+
+def pattern_selectivity(pattern: TriplePatternNode, bound: set) -> Tuple[int, int]:
+    """(negated bound positions, estimated scan size) — lower is better."""
+    bound_positions = 0
+    for term in pattern:
+        if not isinstance(term, Var) or term.name in bound:
+            bound_positions += 1
+    return (-bound_positions, 0)
+
+
+def order_patterns(
+    patterns: Iterable[TriplePatternNode],
+) -> List[TriplePatternNode]:
+    """Greedy selectivity ordering of a BGP's triple patterns."""
+    remaining = list(patterns)
+    ordered: List[TriplePatternNode] = []
+    bound: set = set()
+    while remaining:
+        remaining.sort(key=lambda p: pattern_selectivity(p, bound))
+        chosen = remaining.pop(0)
+        ordered.append(chosen)
+        bound |= chosen.variables()
+    return ordered
+
+
+def assign_filter_slots(
+    ordered: List[TriplePatternNode], filters
+) -> List[List]:
+    """Attach each pushed-in filter at the earliest join depth where all
+    of its variables are bound, so failing candidates are discarded
+    before the remaining patterns are expanded.  Slot 0 guards the
+    initial (empty) binding; slot ``i + 1`` applies to rows produced by
+    pattern ``i``."""
+    filters_at: List[List] = [[] for _ in range(len(ordered) + 1)]
+    if not filters:
+        return filters_at
+    bound_after: List[set] = []
+    bound: set = set()
+    for pattern in ordered:
+        bound |= pattern.variables()
+        bound_after.append(set(bound))
+    for condition in filters:
+        needed = expression_variables(condition)
+        slot = len(ordered)
+        for index, available in enumerate(bound_after):
+            if needed <= available:
+                slot = index + 1
+                break
+        if not needed:
+            slot = 0
+        filters_at[slot].append(condition)
+    return filters_at
+
+
+def result_variables(query: SelectQuery, algebra: AlgebraNode) -> List[str]:
+    """The projection variable names of a SELECT, in output order.
+
+    For ``SELECT *`` the variables mentioned in the pattern are
+    collected in first-use order from the algebra tree.
+    """
+    if query.projections is not None:
+        return [projection.var.name for projection in query.projections]
+    ordered: List[str] = []
+
+    def visit(node: AlgebraNode) -> None:
+        if isinstance(node, BGP):
+            for pattern in node.patterns:
+                for term in pattern:
+                    if isinstance(term, Var) and term.name not in ordered:
+                        ordered.append(term.name)
+        elif isinstance(node, (Join, LeftJoin, Minus)):
+            visit(node.left)
+            visit(node.right)
+        elif isinstance(node, (Filter, Distinct, Reduced, Slice, OrderBy, TopK)):
+            visit(node.input)
+        elif isinstance(node, Extend):
+            visit(node.input)
+            if node.var.name not in ordered:
+                ordered.append(node.var.name)
+        elif isinstance(node, Union):
+            for branch in node.branches:
+                visit(branch)
+        elif isinstance(node, ValuesTable):
+            for var in node.variables:
+                if var.name not in ordered:
+                    ordered.append(var.name)
+        elif isinstance(node, Aggregation):
+            for projection in node.projections:
+                if projection.var.name not in ordered:
+                    ordered.append(projection.var.name)
+        elif isinstance(node, Project):
+            if node.variables is None:
+                visit(node.input)
+            else:
+                for var in node.variables:
+                    if var.name not in ordered:
+                        ordered.append(var.name)
+
+    visit(algebra)
+    return ordered
+
+
+# ----------------------------------------------------------------------
+# Compilation
+# ----------------------------------------------------------------------
+
 def _tag(factory: OperatorFactory, node: AlgebraNode) -> OperatorFactory:
     """Stamp the source algebra node onto every built operator."""
 
@@ -104,7 +209,7 @@ def _tag(factory: OperatorFactory, node: AlgebraNode) -> OperatorFactory:
 def _compile_bgp(node: BGP) -> OperatorFactory:
     if not node.patterns:
         guards = tuple(node.filters)
-        return lambda runtime: SingletonOp(runtime, guards=guards)
+        return _tag(lambda runtime: SingletonOp(runtime, guards=guards), node)
     # Ordering and filter placement are decided here, once; the built
     # scan chain replays them identically on every instantiation.
     if node.preordered:
@@ -115,6 +220,7 @@ def _compile_bgp(node: BGP) -> OperatorFactory:
 
     def make(runtime: Evaluator) -> PhysicalOperator:
         op: PhysicalOperator = SingletonOp(runtime)
+        op.algebra = node
         for index, pattern in enumerate(ordered):
             # Path predicates get the preemptable traversal operator;
             # plain predicates the flat index scan.  Same join-stage
@@ -268,14 +374,13 @@ class PhysicalPlan:
         self.factory = factory
         self.runtime = Evaluator(graph)
         self.root = factory.make_root(self.runtime)
+        #: True until the executor first drives this plan; a plan
+        #: restored from a token continues a query already counted.
+        self.fresh = True
 
     @property
     def variables(self) -> List[str]:
         return self.factory.variables
-
-    @property
-    def is_ask(self) -> bool:
-        return self.factory.is_ask
 
     @property
     def stats(self):
@@ -286,6 +391,7 @@ class PhysicalPlan:
 
     def load(self, state: dict) -> None:
         self.root.load(state)
+        self.fresh = False
 
     def operators(self) -> List[PhysicalOperator]:
         return list(self.root.walk())
@@ -302,21 +408,19 @@ class PhysicalPlanFactory:
     """
 
     def __init__(self, query: Query, algebra: AlgebraNode):
-        if not isinstance(query, (SelectQuery, AskQuery)):
-            raise SparqlEvalError(
-                "the physical engine executes SELECT and ASK queries only"
-            )
         self.query = query
         self.algebra = algebra
-        self.is_ask = isinstance(algebra, Ask)
         root_node = algebra.input if isinstance(algebra, Ask) else algebra
         inner = compile_node(root_node)
         # The operator tree executes in ID space; mount the single
         # late-materialization boundary at the root so consumers of
         # plan.root.next(limit) receive ordinary term bindings.
         self.make_root = lambda runtime: MaterializeOp(runtime, inner(runtime))
+        #: Only a SELECT has a solution sequence to page through; ASK
+        #: and CONSTRUCT answer in one piece (a boolean, a graph).
+        self.pageable = isinstance(query, SelectQuery)
         self.variables: List[str] = (
-            [] if self.is_ask else result_variables(query, algebra)
+            result_variables(query, algebra) if self.pageable else []
         )
 
     def instantiate(self, graph: Graph) -> PhysicalPlan:

@@ -11,12 +11,15 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+from ..rdf.graph import Graph
 from ..rdf.terms import BNode, Literal, Term, URI
+from .ast import TriplePatternNode, Var
 
 __all__ = [
     "SelectResult",
     "AskResult",
     "GraphResult",
+    "construct_graph",
     "results_to_json",
     "results_from_json",
     "term_to_json",
@@ -126,6 +129,37 @@ class GraphResult:
         from ..rdf.ntriples import serialize_ntriples
 
         return serialize_ntriples(self.graph, sort=True)
+
+
+def construct_graph(
+    template: Sequence[TriplePatternNode], solutions: Sequence[Dict[str, Term]]
+) -> Graph:
+    """Instantiate a CONSTRUCT template once per solution.
+
+    Template triples with an unbound variable, a literal subject or a
+    non-URI predicate are skipped, per the spec.
+    """
+    constructed = Graph()
+    for serial, binding in enumerate(solutions, start=1):
+        # Blank nodes in the template are freshened per solution.
+        fresh: Dict[str, BNode] = {}
+        for pattern in template:
+            terms = []
+            for term in pattern:
+                if isinstance(term, Var):
+                    term = binding.get(term.name)
+                    if term is None:
+                        break
+                elif isinstance(term, BNode):
+                    term = fresh.setdefault(
+                        term.id, BNode(f"c{serial}_{term.id}")
+                    )
+                terms.append(term)
+            else:
+                subject, predicate, object = terms
+                if isinstance(subject, (URI, BNode)) and isinstance(predicate, URI):
+                    constructed.add(subject, predicate, object)
+    return constructed
 
 
 class AskResult:

@@ -74,6 +74,24 @@ class TestLocalEndpointPaging:
         assert response.continuation is None
         assert response.result.value is True
 
+    @pytest.mark.parametrize("form", ["ASK {{ {w} }}", "CONSTRUCT WHERE {{ {w} }}"])
+    def test_only_select_tokens_resume(self, philosophy_graph, form):
+        """A token naming an ASK or CONSTRUCT can only be forged (they
+        never mint one): refused as malformed, from any process."""
+        from repro.sparql import MalformedTokenError
+        from repro.sparql.executor import encode_continuation
+        from repro.sparql.planner import build_physical_plan
+
+        where = "?s ?p ?o"
+        select = f"SELECT * WHERE {{ {where} }}"
+        forged = encode_continuation(
+            build_physical_plan(philosophy_graph, select),
+            philosophy_graph,
+            form.format(w=where),
+        )
+        with pytest.raises(MalformedTokenError):
+            LocalEndpoint(philosophy_graph).query(continuation=forged)
+
     def test_continuation_for_different_query_rejected(
         self, philosophy_endpoint
     ):
@@ -185,6 +203,34 @@ BAD_BUDGETS = [
     {"quantum_ms": float("nan")},
     {"page_size": 5, "quantum_ms": 0.0},
 ]
+
+
+CONSTRUCT = P + "CONSTRUCT { ?o dbo:inspired ?s } WHERE { ?s dbo:influencedBy ?o }"
+
+
+class TestConstructNeverPages:
+    """A CONSTRUCT answers with one graph: a budget is refused typed,
+    on both endpoints, and the one-shot request still works."""
+
+    @pytest.mark.parametrize("budget", [{"page_size": 2}, {"quantum_ms": 5.0}])
+    def test_local_endpoint_refuses_typed(self, philosophy_endpoint, budget):
+        from repro.sparql import SparqlEvalError
+
+        with pytest.raises(SparqlEvalError) as refused:
+            philosophy_endpoint.query(CONSTRUCT, **budget)
+        assert "cannot be paged" in str(refused.value)
+        assert "recursive" not in str(refused.value)
+        assert len(philosophy_endpoint.query(CONSTRUCT).result) == 3
+
+    def test_server_answers_400(self, philosophy_graph):
+        server = SimulatedVirtuosoServer(philosophy_graph)
+        response = server.handle(
+            encode_request(server.url, CONSTRUCT, page_size=2)
+        )
+        assert response.status == 400
+        assert response.body.startswith("SparqlEvalError")
+        assert "recursive" not in response.body
+        assert server.handle(encode_request(server.url, CONSTRUCT)).ok
 
 
 class TestInvalidBudgetsAreRefusedTyped:

@@ -7,11 +7,8 @@ import pytest
 from repro.core import Direction, MemberPattern, property_chart_query
 from repro.obs import explain
 from repro.obs.metrics import REGISTRY
-from repro.obs.tracing import EvalProbe
 from repro.rdf import DBO
 from repro.sparql import SparqlEvalError
-from repro.sparql.evaluator import Evaluator
-from repro.sparql.parser import parse_query
 
 
 class TestExplain:
@@ -127,24 +124,23 @@ class TestExplainAnalyze:
         assert bgp["finished"] is False
         assert bgp["rows"] == 3
 
-
-class TestProbeMerging:
-    def test_exists_subpattern_spans_merge(self, dbpedia_graph):
-        # FILTER EXISTS re-translates its pattern once per candidate row;
-        # the probe must merge those into one span with invocations > 1
-        # rather than exploding the tree.
-        probe = EvalProbe()
-        query = parse_query(
-            "SELECT ?s WHERE { ?s ?p ?o . "
-            "FILTER EXISTS { ?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t } "
-            "} LIMIT 20"
-        )
-        Evaluator(dbpedia_graph, probe=probe).run(query)
-        exists_spans = [
-            span
-            for root in probe.roots
-            for span in root.walk()
-            if span.label == "BGP" and "rdf-syntax" in span.detail
+    def test_spans_are_the_plan_tree(self, analyzed):
+        """One measurement, three renderings: the JSON-line spans and
+        the indented span tree are the executed plan nodes."""
+        _, explained = analyzed
+        executed = [
+            plan for plan in explained.plan.walk() if plan.actual_rows is not None
         ]
-        assert len(exists_spans) == 1
-        assert exists_spans[0].invocations > 1
+        spans = [
+            json.loads(line)
+            for line in explained.to_json_lines().splitlines()
+        ]
+        assert [span["operator"] for span in spans] == [p.label for p in executed]
+        assert [span["rows"] for span in spans] == [p.actual_rows for p in executed]
+        assert spans[0]["parent_id"] is None
+        assert len(explained.render_spans().splitlines()) == len(spans)
+
+    def test_spans_need_analyze(self, dbpedia_graph):
+        explained = explain(dbpedia_graph, "SELECT ?s WHERE { ?s ?p ?o } LIMIT 1")
+        with pytest.raises(SparqlEvalError):
+            explained.to_json_lines()

@@ -38,6 +38,68 @@ class TestEvaluatorMetrics:
         assert counter_value("repro_eval_queries_total") == queries + 1
         assert counter_value("repro_eval_bindings_total") > bindings
 
+    def test_paged_query_moves_the_engine_counters_once(self, dbpedia_graph):
+        """Three pages are one query, and the same work as one shot —
+        wherever the quanta run, the counters are flushed by the
+        executor."""
+        text = "SELECT ?s ?o WHERE { ?s ?p ?o } LIMIT 25"
+        names = ("bindings", "pattern_scans", "results")
+
+        def moved(run):
+            before = [counter_value(f"repro_eval_{n}_total") for n in names]
+            queries = counter_value("repro_eval_queries_total")
+            run()
+            assert counter_value("repro_eval_queries_total") == queries + 1
+            return [
+                counter_value(f"repro_eval_{n}_total") - was
+                for n, was in zip(names, before)
+            ]
+
+        def paged():
+            # A fresh endpoint per page: every resume decodes the token
+            # and restores the plan, as a stateless server would.
+            pages = 1
+            response = LocalEndpoint(dbpedia_graph).query(text, page_size=10)
+            while not response.complete:
+                response = LocalEndpoint(dbpedia_graph).query(
+                    page_size=10, continuation=response.continuation
+                )
+                pages += 1
+            assert pages == 3
+
+        one_shot = moved(lambda: LocalEndpoint(dbpedia_graph).query(text))
+        assert one_shot[0] > 0 and one_shot[2] == 25
+        assert moved(paged) == one_shot
+
+    def test_one_shot_query_is_a_complete_physical_page(self, local_endpoint):
+        """The structural guard that one-shot *is* the paged path: a
+        request with no budget is served as one complete executor page."""
+        complete = counter_value("repro_exec_pages_total", outcome="complete")
+        suspended = counter_value("repro_exec_pages_total", outcome="suspended")
+        local_endpoint.query("SELECT ?s WHERE { ?s ?p ?o } LIMIT 3")
+        assert (
+            counter_value("repro_exec_pages_total", outcome="complete")
+            == complete + 1
+        )
+        assert (
+            counter_value("repro_exec_pages_total", outcome="suspended")
+            == suspended
+        )
+
+    def test_trace_root_rows_are_the_result_rows(self, dbpedia_graph):
+        endpoint = LocalEndpoint(dbpedia_graph, trace=True)
+        response = endpoint.query(
+            "SELECT ?s (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s "
+            "ORDER BY DESC(?n) LIMIT 7"
+        )
+        by_operator = {summary.operator: summary for summary in response.trace}
+        # optimized: ORDER BY + LIMIT fused into the root TopK
+        assert by_operator["TopK"].rows == len(response.result.rows) == 7
+        assert by_operator["Materialize"].rows == 7
+        assert by_operator["Aggregation"].rows > 7
+        assert by_operator["BGP"].rows == len(dbpedia_graph)
+        assert all(summary.wall_ms >= 0 for summary in response.trace)
+
     def test_index_lookup_counter_classifies_branches(self, dbpedia_graph):
         spo = counter_value("repro_graph_index_lookups_total", index="spo")
         full = counter_value(

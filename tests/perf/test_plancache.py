@@ -14,6 +14,7 @@ from repro.perf.plancache import (
     build_plan,
 )
 from repro.rdf import Graph, Literal, URI
+from repro.sparql.algebra import BGP
 
 EX = "http://example.org/"
 QUERY = f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o }}"
@@ -79,13 +80,17 @@ class TestPlanCache:
         assert _EVICTIONS_TOTAL.value == evictions + 1
         assert q1 in cache and q3 in cache and q2 not in cache
 
-    def test_construct_falls_back_to_ast_only(self):
+    def test_construct_where_pattern_is_planned(self):
+        # A CONSTRUCT's plan is its WHERE pattern (the template is
+        # applied to the solutions), compiled once like any other.
         cache = PlanCache()
         plan = cache.get(
             f"CONSTRUCT {{ ?s <{EX}q> ?o }} WHERE {{ ?s <{EX}p> ?o }}"
         )
-        assert plan.algebra is None and plan.raw_algebra is None
-        assert plan.query is not None
+        assert isinstance(plan.algebra, BGP)
+        factory = plan.physical_factory()
+        assert factory is plan.physical_factory()
+        assert not factory.pageable
 
     def test_empty_cache_is_truthy(self):
         # Regression: LocalEndpoint once discarded a fresh cache because

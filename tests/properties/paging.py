@@ -33,6 +33,20 @@ BOUNDARY_PAGE_SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1)
 #: build phase — deterministically, whatever the machine's speed.
 ONE_STEP = {"quantum_ms": 1e-9}
 
+#: EXISTS shapes for the paged ≡ one-shot and oracle suites, over three
+#: predicates ``{p0}`` ``{p1}`` ``{p2}`` (N3).  Each runs a physical
+#: sub-plan per outer row inside one operator step.
+EXISTS_SHAPES = [
+    "SELECT ?s ?o WHERE {{ ?s {p0} ?o FILTER EXISTS {{ ?o {p1} ?x }} }}",
+    "SELECT ?s ?o WHERE {{ ?s {p0} ?o FILTER NOT EXISTS {{ ?s {p1} ?o }} }}",
+    # The EXISTS is the OPTIONAL's join condition; its pattern reaches
+    # for a variable (?s) only the outer side binds.
+    "SELECT ?s ?v WHERE {{ ?s {p0} ?o OPTIONAL {{ ?o {p1} ?v "
+    "FILTER EXISTS {{ ?v {p2} ?s }} }} }} ORDER BY ?s",
+    "SELECT ?s (COUNT(*) AS ?n) WHERE {{ ?s {p0} ?o "
+    "FILTER (EXISTS {{ ?o {p1} ?x }} || NOT EXISTS {{ ?s {p2} ?y }}) }} GROUP BY ?s",
+]
+
 #: Extra vocabulary for :func:`wide_graphs`.
 WIDE_TERMS = [URI(f"http://ex.org/w{i}") for i in range(40)]
 

@@ -1,26 +1,30 @@
-"""Encoded (ID-space) execution ≡ term-object execution.
+"""Encoded (ID-space) execution: right answers, however it is paged.
 
-PR 5 moved the physical operators onto dictionary-encoded integer
-bindings with late materialization at the plan root.  These properties
-pin the equivalence down: on random graphs and random queries, the
-physical engine (encoded) must produce exactly the rows, the order, and
-the ``EvalStats`` of the recursive evaluator (term space) — including
-when execution is suspended at random points via ``run_quantum`` and
-restored from a serialised continuation token.
+The physical operators run on dictionary-encoded integer bindings with
+late materialization at the plan root, a block at a time.  These
+properties pin that down on random graphs and random queries from two
+sides:
+
+* **physical ≡ naive oracle** — the one-shot answer has the rows (and,
+  where ORDER BY fixes it, the order) of the deliberately naive
+  term-space evaluator in :mod:`.naive_sparql`;
+* **paged ≡ one-shot** — suspending at random points via
+  ``run_quantum`` and restoring from a serialised continuation token
+  reproduces exactly the one-shot rows, order and ``EvalStats``.
 
 The aggregation operator has two folds — an ID-space kernel for the
 chart shape (plain-variable keys; ``COUNT(*)`` / ``COUNT(?v)`` /
 ``SUM(?v)`` / ``AVG(?v)``) and the generic per-member fold for
 everything else.  ``_AGGREGATE_SHAPES`` hits both, often in one query,
 and the kernel is checked against the generic fold (forced) *and* the
-evaluator: rows, order and ``EvalStats``."""
+oracle.  ``EXISTS_SHAPES`` run a physical sub-plan per outer row inside
+one operator step; they get the same two-sided check."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rdf import Graph, Literal, URI
 from repro.sparql.algebra import translate_query
-from repro.sparql.evaluator import Evaluator
 from repro.sparql.executor import (
     decode_continuation,
     encode_continuation,
@@ -33,7 +37,15 @@ from repro.sparql.parser import parse_query
 from repro.sparql.physical import AggregationOp
 from repro.sparql.planner import PhysicalPlanFactory
 
-from .paging import page_sizes, run_paged, schedules, wide_graphs
+from .naive_sparql import assert_matches_oracle
+from .paging import (
+    EXISTS_SHAPES,
+    page_sizes,
+    run_paged,
+    schedules,
+    stats_tuple as _stats_tuple,
+    wide_graphs,
+)
 
 EX = "http://ex.org/"
 
@@ -113,29 +125,25 @@ def _compile(graph, text):
     return query, algebra
 
 
-def _stats_tuple(stats):
-    return (
-        stats.intermediate_bindings,
-        stats.pattern_scans,
-        stats.groups,
-        stats.results,
-    )
+def _one_shot(graph, text):
+    """The factory plus its one-shot run, oracle-checked."""
+    factory = PhysicalPlanFactory(*_compile(graph, text))
+    plan = factory.instantiate(graph)
+    expected = run_to_completion(plan)
+    assert_matches_oracle(graph, text, expected.rows)
+    return factory, expected, plan.stats
 
 
 @given(dense_graphs(), queries())
 @settings(max_examples=80, deadline=None)
 def test_encoded_execution_matches_term_execution(graph, text):
-    """One-shot: identical rows, order, and work counters."""
-    query, algebra = _compile(graph, text)
-    evaluator = Evaluator(graph)
-    expected = evaluator.run_translated(query, algebra)
-
-    plan = PhysicalPlanFactory(query, algebra).instantiate(graph)
-    actual = run_to_completion(plan)
-
-    assert actual.vars == expected.vars
-    assert actual.rows == expected.rows  # values AND order
-    assert _stats_tuple(plan.stats) == _stats_tuple(evaluator.stats)
+    """One-shot ID-space execution against the term-space oracle, and
+    against itself unoptimized (same rows; the plan may differ)."""
+    _, expected, _ = _one_shot(graph, text)
+    query = parse_query(text)
+    raw = PhysicalPlanFactory(query, translate_query(query)).instantiate(graph)
+    assert_matches_oracle(graph, text, run_to_completion(raw).rows)
+    assert raw.variables == expected.vars
 
 
 @given(dense_graphs(), queries(), page_sizes(5))
@@ -144,12 +152,8 @@ def test_suspended_encoded_execution_matches_term_execution(
     graph, text, page_size
 ):
     """Random suspension points: paging the encoded plan through
-    serialised continuation tokens reproduces the term-space answer."""
-    query, algebra = _compile(graph, text)
-    evaluator = Evaluator(graph)
-    expected = evaluator.run_translated(query, algebra)
-
-    factory = PhysicalPlanFactory(query, algebra)
+    serialised continuation tokens reproduces the one-shot answer."""
+    factory, expected, one_shot_stats = _one_shot(graph, text)
     plan = factory.instantiate(graph)
     rows = []
     bindings = 0
@@ -167,8 +171,8 @@ def test_suspended_encoded_execution_matches_term_execution(
         raise AssertionError("paged execution did not terminate")
 
     assert rows == expected.rows
-    assert bindings == evaluator.stats.intermediate_bindings
-    assert scans == evaluator.stats.pattern_scans
+    assert bindings == one_shot_stats.intermediate_bindings
+    assert scans == one_shot_stats.pattern_scans
 
 
 @given(wide_graphs(_SUBJECTS, _PREDS, _OBJECTS), queries(), schedules())
@@ -178,15 +182,29 @@ def test_block_boundary_suspensions_match_term_execution(graph, text, schedule):
     BLOCK-1 / BLOCK / BLOCK+1 rows and after single block steps
     (an aggregation with part of a block absorbed, a scan in the middle
     of an outer row's candidates)."""
-    query, algebra = _compile(graph, text)
-    evaluator = Evaluator(graph)
-    expected = evaluator.run_translated(query, algebra)
-
-    factory = PhysicalPlanFactory(query, algebra)
+    factory, expected, one_shot_stats = _one_shot(graph, text)
     rows, stats, _ = run_paged(factory, graph, text, schedule)
 
     assert rows == expected.rows
-    assert _stats_tuple(stats) == _stats_tuple(evaluator.stats)
+    assert _stats_tuple(stats) == _stats_tuple(one_shot_stats)
+
+
+@given(
+    st.one_of(dense_graphs(), wide_graphs(_SUBJECTS, _PREDS, _OBJECTS)),
+    st.sampled_from(EXISTS_SHAPES),
+    schedules(),
+)
+@settings(max_examples=40, deadline=None)
+def test_exists_subplans_match_oracle_and_paging(graph, shape, schedule):
+    """FILTER EXISTS / NOT EXISTS / EXISTS under OPTIONAL: the sub-plan
+    runs whole inside one operator step, so its rows and its work are
+    the same wherever the outer plan is suspended."""
+    text = shape.format(p0=_P0, p1=_P1, p2=_P2)
+    factory, expected, one_shot_stats = _one_shot(graph, text)
+    rows, stats, _ = run_paged(factory, graph, text, schedule)
+
+    assert rows == expected.rows
+    assert _stats_tuple(stats) == _stats_tuple(one_shot_stats)
 
 
 _P0, _P1, _P2 = (pred.n3() for pred in _PREDS)
@@ -254,23 +272,16 @@ def test_aggregate_shapes_cover_both_folds():
 )
 @settings(max_examples=60, deadline=None)
 def test_id_space_fold_matches_generic_fold_and_evaluator(graph, text, schedule):
-    """fold ≡ fallback ≡ evaluator — one-shot and suspended mid-build."""
-    query, algebra = _compile(graph, text)
-    evaluator = Evaluator(graph)
-    expected = evaluator.run_translated(query, algebra)
-    factory = PhysicalPlanFactory(query, algebra)
-
-    kernel = factory.instantiate(graph)
-    actual = run_to_completion(kernel)
-    assert actual.rows == expected.rows  # values AND order
-    assert _stats_tuple(kernel.stats) == _stats_tuple(evaluator.stats)
+    """fold ≡ fallback ≡ naive evaluator — one-shot and suspended
+    mid-build."""
+    factory, expected, kernel_stats = _one_shot(graph, text)
 
     fallback = factory.instantiate(graph)
     for op in _aggregations(fallback):
         op._id_fold = None  # force the generic per-member fold
-    assert run_to_completion(fallback).rows == expected.rows
-    assert _stats_tuple(fallback.stats) == _stats_tuple(evaluator.stats)
+    assert run_to_completion(fallback).rows == expected.rows  # values AND order
+    assert _stats_tuple(fallback.stats) == _stats_tuple(kernel_stats)
 
     rows, stats, _ = run_paged(factory, graph, text, schedule)
     assert rows == expected.rows
-    assert _stats_tuple(stats) == _stats_tuple(evaluator.stats)
+    assert _stats_tuple(stats) == _stats_tuple(kernel_stats)

@@ -13,7 +13,7 @@ Two invariants:
   is order-independent and the comparison is exact, not approximate.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Direction
@@ -173,6 +173,18 @@ def _normalized(rows):
     )
 
 
+def _value_tie_graph(first, second):
+    """Two members whose values are equal but not the same term."""
+    graph = Graph()
+    for index, datatype in enumerate((first, second)):
+        graph.add(
+            URI(f"http://ex/s{index}_s0"),
+            URI(_VALUE_PROP),
+            Literal("0.25", datatype=datatype),
+        )
+    return graph
+
+
 class TestIncrementalMergeEqualsOneShot:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -181,6 +193,12 @@ class TestIncrementalMergeEqualsOneShot:
         st.booleans(),
         st.sampled_from([_SUM_QUERY, _MINMAX_QUERY, _GROUPED_SUM]),
     )
+    # The once-rare flake, pinned: MIN/MAX over "0.25"^^decimal and
+    # "0.25"^^double used to return whichever member the scan (one
+    # shot) or the window merge met first/last, so the two disagreed
+    # whenever the tie straddled a window boundary.
+    @example(_value_tie_graph(_XSD_DECIMAL, _XSD_DOUBLE), 1, False, _MINMAX_QUERY)
+    @example(_value_tie_graph(_XSD_DOUBLE, _XSD_DECIMAL), 1, True, _MINMAX_QUERY)
     def test_final_merge_matches_engine(
         self, graph, window_size, by_subject, query
     ):

@@ -19,6 +19,8 @@ from repro.sparql.algebra import (
 )
 from repro.sparql.ast import TriplePatternNode, Var
 from repro.sparql.evaluator import Evaluator
+from repro.sparql.physical import MaterializeOp, drain
+from repro.sparql.planner import compile_node
 from repro.sparql.optimizer import PASS_NAMES, optimize
 from repro.sparql.parser import parse_query
 
@@ -72,8 +74,10 @@ class TestConstantFolding:
         )
         tables = _find(optimized, ValuesTable)
         assert tables and all(not t.rows for t in tables)
-        result = Evaluator(graph).evaluate(optimized)
-        assert list(result) == []
+        query = parse_query(
+            f"SELECT ?s WHERE {{ ?s <{EX}common> ?o FILTER(1 = 2) }}"
+        )
+        assert Evaluator(graph).run_translated(query, optimized).rows == []
 
     def test_folds_constant_subexpression(self):
         _, optimized, report = _plan(
@@ -266,10 +270,13 @@ class TestOptimizeAPI:
         ]
 
     def test_public_evaluate(self, graph):
+        # A bare algebra tree runs through the planner's public
+        # compile_node, under the plan-root decode boundary.
         bgp = BGP(
             (TriplePatternNode(Var("s"), URI(f"{EX}rare"), Var("o")),)
         )
-        rows = list(Evaluator(graph).evaluate(bgp))
+        runtime = Evaluator(graph)
+        rows = drain(MaterializeOp(runtime, compile_node(bgp)(runtime)))
         assert rows == [{"s": URI(f"{EX}s0"), "o": URI(f"{EX}o")}]
 
 

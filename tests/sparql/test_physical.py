@@ -1,15 +1,18 @@
-"""The physical operator tree: equivalence with the recursive
-evaluator, the save/load protocol, and bounded per-call progress."""
+"""The physical operator tree: equivalence with the naive reference
+evaluator (``tests/properties/naive_sparql.py``), the save/load
+protocol, and bounded per-call progress."""
 
 import pytest
 
 from repro.rdf import Graph, Literal, URI
 from repro.sparql.algebra import translate_query
-from repro.sparql.evaluator import Evaluator
+from repro.sparql.executor import run_to_completion
 from repro.sparql.optimizer import optimize
 from repro.sparql.parser import parse_query
 from repro.sparql.physical import PlanStateError
 from repro.sparql.planner import PhysicalPlanFactory, build_physical_plan
+
+from tests.properties.naive_sparql import NaiveEngine, assert_matches_oracle
 
 EX = "http://ex.org/"
 
@@ -60,10 +63,9 @@ def _compile(graph: Graph, text: str):
     return query, algebra
 
 
-def _evaluator_run(graph: Graph, query, algebra):
-    evaluator = Evaluator(graph)
-    result = evaluator.run_translated(query, algebra)
-    return result, evaluator.stats
+def _one_shot(graph: Graph, query, algebra):
+    plan = PhysicalPlanFactory(query, algebra).instantiate(graph)
+    return run_to_completion(plan), plan.stats
 
 
 def _stats_tuple(stats):
@@ -77,25 +79,21 @@ def _stats_tuple(stats):
 
 @pytest.mark.parametrize("text", QUERIES)
 def test_physical_matches_evaluator(graph, text):
-    from repro.sparql.executor import run_to_completion
-
+    """The engine's one-shot answer against the naive evaluator."""
     query, algebra = _compile(graph, text)
-    expected, expected_stats = _evaluator_run(graph, query, algebra)
-    plan = PhysicalPlanFactory(query, algebra).instantiate(graph)
-    actual = run_to_completion(plan)
-    if hasattr(expected, "value"):
-        assert actual.value == expected.value
+    actual, _ = _one_shot(graph, query, algebra)
+    if text.startswith("ASK"):
+        expected = NaiveEngine(graph).eval(translate_query(query).input)
+        assert actual.value == bool(expected)
     else:
-        assert actual.vars == expected.vars
-        assert actual.rows == expected.rows  # values AND order
-    assert _stats_tuple(plan.stats) == _stats_tuple(expected_stats)
+        assert_matches_oracle(graph, text, actual.rows)
 
 
 @pytest.mark.parametrize("text", [q for q in QUERIES if not q.startswith("ASK")])
 def test_save_load_at_every_row_boundary(graph, text):
     """Suspending+restoring after each row reproduces the exact run."""
     query, algebra = _compile(graph, text)
-    expected, _ = _evaluator_run(graph, query, algebra)
+    expected, _ = _one_shot(graph, query, algebra)
     factory = PhysicalPlanFactory(query, algebra)
 
     plan = factory.instantiate(graph)
@@ -133,13 +131,38 @@ def test_load_rejects_mismatched_plan_shape(graph):
         other.load(state)
 
 
-def test_construct_has_no_physical_plan(graph):
-    from repro.sparql.errors import SparqlEvalError
+def test_construct_runs_on_the_physical_plan(graph):
+    """CONSTRUCT is its WHERE pattern as a plan plus the template: the
+    plan is not pageable, and completion boxes a graph."""
+    plan = build_physical_plan(
+        graph,
+        f"CONSTRUCT {{ ?c <{EX}hosts> ?s }} WHERE {{ ?s <{EX}city> ?c }} LIMIT 3",
+    )
+    assert not plan.factory.pageable
+    result = run_to_completion(plan)
+    assert len(result.graph) == 3
+    assert all(t.predicate == _uri("hosts") for t in result.graph)
+    assert any(op.label == "Slice" for op in plan.root.walk())
 
-    with pytest.raises(SparqlEvalError):
-        build_physical_plan(
-            graph, f"CONSTRUCT {{ ?s ?p ?o }} WHERE {{ ?s ?p ?o }}"
-        )
+
+def test_exists_subpattern_compiles_once_per_execution(graph):
+    """FILTER EXISTS runs a physical sub-plan per outer row — compiled
+    once per execution, counted into the parent's stats."""
+    text = (
+        f"SELECT ?s WHERE {{ ?s <{EX}type> <{EX}Person> "
+        f"FILTER EXISTS {{ ?s <{EX}city> ?c }} }}"
+    )
+    plan = build_physical_plan(graph, text)
+    result = run_to_completion(plan)
+    assert len(result.rows) == 4
+    assert len(plan.runtime._exists_plans) == 1
+    without = build_physical_plan(
+        graph, f"SELECT ?s WHERE {{ ?s <{EX}type> <{EX}Person> }}"
+    )
+    run_to_completion(without)
+    # one sub-plan scan per outer row on top of the outer query's own
+    assert plan.stats.pattern_scans == without.stats.pattern_scans + 12
+    assert_matches_oracle(graph, text, result.rows)
 
 
 def test_pipeline_breaker_reports_bounded_progress(graph):
@@ -160,8 +183,6 @@ def test_pipeline_breaker_reports_bounded_progress(graph):
 
 
 def test_operator_counters_and_walk(graph):
-    from repro.sparql.executor import run_to_completion
-
     plan = build_physical_plan(
         graph,
         f"SELECT ?s ?a WHERE {{ ?s <{EX}type> <{EX}Person> . "
@@ -185,8 +206,6 @@ def test_resume_does_not_double_bill_scans(graph):
     factory = PhysicalPlanFactory(query, algebra)
 
     one_shot = factory.instantiate(graph)
-    from repro.sparql.executor import run_to_completion
-
     run_to_completion(one_shot)
 
     resumed = factory.instantiate(graph)

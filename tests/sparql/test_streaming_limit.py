@@ -3,8 +3,9 @@
 The hash joins build their (right) side eagerly but *stream* the probe
 side, so a ``Slice`` above a join must stop pulling the probe subtree
 after ``limit`` rows — the scan and binding counters stay bounded
-instead of growing with the data.  Both execution back halves (the
-recursive evaluator and the physical operator tree) are covered.
+instead of growing with the data.  Both entries to the engine are
+covered: the optimized plan (``build_physical_plan``) and the uncached,
+unoptimized one (``Evaluator.run``).
 """
 
 import pytest
@@ -76,8 +77,8 @@ def test_limit_bounds_hash_join_probe_side(graph, runner):
 
 
 def test_both_halves_agree_on_bounded_work(graph):
-    """The physical tree must not do more work than the evaluator it
-    replaces (the refactor's no-regression guarantee under LIMIT)."""
+    """The optimizer must not cost a LIMIT query any work: the optimized
+    plan does exactly what the raw translation does."""
     for text in (JOIN + f" LIMIT {LIMIT}", OPTIONAL + f" LIMIT {LIMIT}"):
         _, physical = _physical_stats(graph, text)
         _, evaluator = _evaluator_stats(graph, text)

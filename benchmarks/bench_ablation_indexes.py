@@ -10,7 +10,7 @@ import pytest
 from repro.core import Direction, MemberPattern, property_chart_query
 from repro.datasets.dbpedia import OWL_THING
 from repro.endpoint import LocalEndpoint, SimClock
-from repro.perf import Decomposer, SpecializedIndexes
+from repro.perf import Decomposer, MaterializedViews
 from repro.rdf import RDF, TriplePattern
 from repro.rdf.graph import Graph
 
@@ -56,7 +56,7 @@ def test_decomposer_vs_join_execution(benchmark, dbpedia_graph, report):
 
     query = property_chart_query(MemberPattern.of_type(OWL_THING))
     endpoint = LocalEndpoint(dbpedia_graph, clock=SimClock())
-    decomposer = Decomposer(SpecializedIndexes(dbpedia_graph), clock=SimClock())
+    decomposer = Decomposer(MaterializedViews(dbpedia_graph, track=False), clock=SimClock())
 
     start = time.perf_counter()
     endpoint.select(query)
@@ -83,6 +83,10 @@ def test_decomposer_vs_join_execution(benchmark, dbpedia_graph, report):
 def test_index_build_cost(benchmark, dbpedia_graph):
     """The offline price paid for the decomposer's speed."""
     indexes = benchmark.pedantic(
-        SpecializedIndexes, args=(dbpedia_graph,), rounds=3, iterations=1
+        MaterializedViews,
+        args=(dbpedia_graph,),
+        kwargs={"track": False},
+        rounds=3,
+        iterations=1,
     )
     assert indexes.instance_count(OWL_THING) > 0

@@ -11,7 +11,7 @@ from repro.datasets import generate_dbpedia, inject_birthplace_errors
 from repro.datasets.dbpedia import OWL_THING
 from repro.endpoint import LocalEndpoint, SimClock
 from repro.explorer import ExplorerSession, Tab
-from repro.perf import Decomposer, ElindaEndpoint, HeavyQueryStore, SpecializedIndexes
+from repro.perf import Decomposer, ElindaEndpoint, HeavyQueryStore, MaterializedViews
 from repro.rdf import DBO
 
 
@@ -74,7 +74,7 @@ def test_e9_scenario3_solutions_on_off(benchmark, dbpedia_graph, dbpedia_config,
         stack = ElindaEndpoint(
             LocalEndpoint(dbpedia_graph, clock=clock, cost_model=scaled),
             hvs=HeavyQueryStore(clock=clock, threshold_ms=0.01),
-            decomposer=Decomposer(SpecializedIndexes(dbpedia_graph), clock=clock),
+            decomposer=Decomposer(MaterializedViews(dbpedia_graph, track=False), clock=clock),
             use_hvs=False,
             use_decomposer=False,
         )

@@ -12,7 +12,7 @@ from repro.perf import (
     Decomposer,
     ElindaEndpoint,
     HeavyQueryStore,
-    SpecializedIndexes,
+    MaterializedViews,
 )
 
 HEAVY = property_chart_query(MemberPattern.of_type(OWL_THING))
@@ -24,7 +24,7 @@ def _stack(graph):
     return ElindaEndpoint(
         LocalEndpoint(graph, clock=clock),
         hvs=HeavyQueryStore(clock=clock, threshold_ms=0.01),
-        decomposer=Decomposer(SpecializedIndexes(graph), clock=clock),
+        decomposer=Decomposer(MaterializedViews(graph, track=False), clock=clock),
     )
 
 

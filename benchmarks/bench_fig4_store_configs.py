@@ -21,7 +21,7 @@ from repro.endpoint import (
     SimClock,
     SimulatedVirtuosoServer,
 )
-from repro.perf import Decomposer, HeavyQueryStore, SpecializedIndexes
+from repro.perf import Decomposer, HeavyQueryStore, MaterializedViews
 
 Q = {
     "outgoing": property_chart_query(MemberPattern.of_type(OWL_THING)),
@@ -48,7 +48,7 @@ def _compute_cells(dbpedia_graph, dbpedia_config):
         dbpedia_graph, clock=clock, cost_model=profile
     )
     remote = RemoteEndpoint(server)
-    decomposer = Decomposer(SpecializedIndexes(dbpedia_graph), clock=clock)
+    decomposer = Decomposer(MaterializedViews(dbpedia_graph, track=False), clock=clock)
     hvs = HeavyQueryStore(clock=clock)
     cells = {}
     for direction, query in Q.items():
@@ -106,7 +106,7 @@ def test_fig4_wall_clock_virtuoso(benchmark, dbpedia_graph, direction):
 @pytest.mark.parametrize("direction", ["outgoing", "incoming"])
 def test_fig4_wall_clock_decomposer(benchmark, dbpedia_graph, direction):
     """Wall-clock cost of the index path (excludes the offline build)."""
-    decomposer = Decomposer(SpecializedIndexes(dbpedia_graph), clock=SimClock())
+    decomposer = Decomposer(MaterializedViews(dbpedia_graph, track=False), clock=SimClock())
     result = benchmark(lambda: decomposer.try_answer(Q[direction]).result)
     assert result.rows
 

@@ -23,7 +23,7 @@ from repro.perf import (
     HeavyQueryStore,
     IncrementalConfig,
     IncrementalEvaluator,
-    SpecializedIndexes,
+    MaterializedViews,
 )
 
 PAPER = {
@@ -49,7 +49,7 @@ def main() -> None:
     profile = REMOTE_VIRTUOSO_PROFILE.scaled(recommended_scale(config))
     server = SimulatedVirtuosoServer(graph, clock=clock, cost_model=profile)
     remote = RemoteEndpoint(server)
-    decomposer = Decomposer(SpecializedIndexes(graph), clock=clock)
+    decomposer = Decomposer(MaterializedViews(graph, track=False), clock=clock)
     hvs = HeavyQueryStore(clock=clock)
 
     queries = {

@@ -1003,7 +1003,7 @@ def _cmd_demo(args) -> int:
 def _cmd_fig4(args) -> int:
     from .core import MemberPattern, property_chart_query
     from .datasets.dbpedia import OWL_THING
-    from .perf import Decomposer, HeavyQueryStore, SpecializedIndexes
+    from .perf import Decomposer, HeavyQueryStore, MaterializedViews
 
     config = DBpediaConfig(scale=args.scale, seed=args.seed)
     dataset = generate_dbpedia(config)
@@ -1014,7 +1014,7 @@ def _cmd_fig4(args) -> int:
         cost_model=REMOTE_VIRTUOSO_PROFILE.scaled(recommended_scale(config)),
     )
     remote = RemoteEndpoint(server)
-    decomposer = Decomposer(SpecializedIndexes(dataset.graph), clock=clock)
+    decomposer = Decomposer(MaterializedViews(dataset.graph, track=False), clock=clock)
     hvs = HeavyQueryStore(clock=clock)
     paper = {
         ("virtuoso", "outgoing"): "454 s",
@@ -1099,7 +1099,7 @@ def _explain_self_test(args) -> int:
     from .core import MemberPattern, property_chart_query
     from .obs import explain
     from .obs.metrics import REGISTRY
-    from .perf import Decomposer, ElindaEndpoint, HeavyQueryStore, SpecializedIndexes
+    from .perf import Decomposer, ElindaEndpoint, HeavyQueryStore, MaterializedViews
 
     failures: List[str] = []
 
@@ -1143,7 +1143,7 @@ def _explain_self_test(args) -> int:
     elinda = ElindaEndpoint(
         backend,
         hvs=HeavyQueryStore(threshold_ms=0.000001),
-        decomposer=Decomposer(SpecializedIndexes(graph)),
+        decomposer=Decomposer(MaterializedViews(graph, track=False)),
     )
 
     before = counter("repro_decomposer_requests_total", outcome="rewritten")
@@ -1440,7 +1440,6 @@ def _cmd_metrics(args) -> int:
             IncrementalConfig,
             IncrementalEvaluator,
             MaterializedViews,
-            SpecializedIndexes,
         )
         from .core import MemberPattern, property_chart_query
 
@@ -1456,18 +1455,19 @@ def _cmd_metrics(args) -> int:
             LocalEndpoint(graph, clock=clock, trace=True),
             hvs=HeavyQueryStore(threshold_ms=0.000001, clock=clock),
             views=MaterializedViews(graph, clock=clock),
-            decomposer=Decomposer(SpecializedIndexes(graph), clock=clock),
+            decomposer=Decomposer(MaterializedViews(graph, track=False), clock=clock),
         )
+        # Every query below is routed: the door compiles it through the
+        # backend's plan cache (miss → optimizer), the backend then hits.
         elinda.query(query)                       # views hit
+        elinda.query(
+            "SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?s LIMIT 3"
+        )                                          # no rung answers: backend
         elinda.use_views = False
         elinda.query(query)                       # decomposer rewrite
         elinda.use_decomposer = False
         elinda.query(query)                       # backend, stored as heavy
         elinda.query(query)                       # HVS hit
-        direct = LocalEndpoint(graph, clock=clock)
-        topk = "SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?s LIMIT 3"
-        direct.query(topk)                        # optimizer + plan-cache miss
-        direct.query(topk)                        # plan-cache hit
         server = SimulatedVirtuosoServer(graph, clock=clock)
         RemoteEndpoint(server).query(
             "SELECT ?s WHERE { ?s ?p ?o } LIMIT 5"

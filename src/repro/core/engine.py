@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 from ..endpoint.base import Endpoint
 from ..rdf.terms import Literal, URI
-from .model import Bar, BarChart, BarType, Direction
+from .model import Bar, BarChart, BarType, Direction, count_value
 from .queries import (
     MemberPattern,
     count_query,
@@ -27,27 +27,6 @@ from .queries import (
 )
 
 __all__ = ["ChartEngine"]
-
-
-def _as_int(term) -> int:
-    """Integer value of a count literal.
-
-    Backends are free to type their counts as xsd:decimal/xsd:double
-    ("3.0", "3.0e0"); an integral float is still an exact count, so it
-    is accepted rather than silently flattened to an empty bar.
-    """
-    if isinstance(term, Literal):
-        try:
-            return int(term.lexical)
-        except ValueError:
-            pass
-        try:
-            number = float(term.lexical)
-        except ValueError:
-            return 0
-        if number == int(number):
-            return int(number)
-    return 0
 
 
 def _supports_paging(endpoint) -> bool:
@@ -141,7 +120,7 @@ class ChartEngine:
     def root_bar(self) -> Bar:
         """The predefined root bar (all instances of the root class)."""
         pattern = MemberPattern.of_type(self.root_class)
-        count = _as_int(self.endpoint.select(count_query(pattern)).scalar())
+        count = count_value(self.endpoint.select(count_query(pattern)).scalar())
         return Bar(
             label=self.root_class,
             type=BarType.CLASS,
@@ -181,7 +160,7 @@ class ChartEngine:
             bars[subclass] = Bar(
                 label=subclass,
                 type=BarType.CLASS,
-                count=_as_int(row.get("count")),
+                count=count_value(row.get("count")),
                 pattern=pattern.and_type(subclass),
             )
         return BarChart(bars)
@@ -195,14 +174,14 @@ class ChartEngine:
         pattern = self._pattern_of(bar)
         total = bar.size if (bar.count is not None or bar.uris is not None) else 0
         if not total:
-            total = _as_int(self.endpoint.select(count_query(pattern)).scalar())
+            total = count_value(self.endpoint.select(count_query(pattern)).scalar())
         result = self._select(property_chart_query(pattern, direction))
         bars: Dict[URI, Bar] = {}
         for row in result:
             prop = row.get("p")
             if not isinstance(prop, URI):
                 continue
-            count = _as_int(row.get("count"))
+            count = count_value(row.get("count"))
             bars[prop] = Bar(
                 label=prop,
                 type=BarType.PROPERTY,
@@ -237,7 +216,7 @@ class ChartEngine:
             bars[cls] = Bar(
                 label=cls,
                 type=BarType.CLASS,
-                count=_as_int(row.get("count")),
+                count=count_value(row.get("count")),
                 pattern=pattern.reroot_via(
                     bar.label, direction, new_type=cls
                 ),
@@ -262,7 +241,7 @@ class ChartEngine:
     def refresh_count(self, bar: Bar) -> Bar:
         """Recompute the bar's height from the endpoint."""
         pattern = self._pattern_of(bar)
-        count = _as_int(self.endpoint.select(count_query(pattern)).scalar())
+        count = count_value(self.endpoint.select(count_query(pattern)).scalar())
         return replace(bar, count=count)
 
     def sparql_for(self, bar: Bar) -> str:
@@ -303,7 +282,7 @@ class ChartEngine:
         pattern = self._pattern_of(bar)
         total = bar.size if (bar.count is not None or bar.uris is not None) else 0
         if not total:
-            total = _as_int(self.endpoint.select(count_query(pattern)).scalar())
+            total = count_value(self.endpoint.select(count_query(pattern)).scalar())
         evaluator = RemoteIncrementalEvaluator(
             self.endpoint,
             RemoteIncrementalConfig(window_size=window_size, max_steps=max_steps),
@@ -314,7 +293,7 @@ class ChartEngine:
                 prop = row.get("p")
                 if not isinstance(prop, URI):
                     continue
-                count = _as_int(row.get("count"))
+                count = count_value(row.get("count"))
                 bars[prop] = Bar(
                     label=prop,
                     type=BarType.PROPERTY,
@@ -331,7 +310,7 @@ class ChartEngine:
         pattern = self._pattern_of(bar)
         for prop, value in sorted(values.items(), key=lambda kv: kv[0].value):
             pattern = pattern.and_value(prop, value)
-        count = _as_int(self.endpoint.select(count_query(pattern)).scalar())
+        count = count_value(self.endpoint.select(count_query(pattern)).scalar())
         return Bar(
             label=bar.label,
             type=bar.type,

@@ -15,12 +15,37 @@ paper's.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..rdf.terms import URI
+from ..rdf.terms import Literal, URI
 
-__all__ = ["BarType", "Direction", "Bar", "BarChart"]
+__all__ = ["BarType", "Direction", "Bar", "BarChart", "count_value"]
+
+
+def count_value(term) -> int:
+    """The bar height a backend's count cell stands for.
+
+    Backends are free to type their counts as xsd:decimal/xsd:double
+    ("3.0", "3.0e0"); an integral float is still an exact count.
+    Anything else — a non-integral number, NaN, ±INF, text, a URI, an
+    unbound cell — is no count and reads as an empty bar, never an
+    exception out of the chart engine.
+    """
+    if not isinstance(term, Literal):
+        return 0
+    try:
+        return int(term.lexical)
+    except ValueError:
+        pass
+    try:
+        number = float(term.lexical)
+    except ValueError:
+        return 0
+    if math.isfinite(number) and number == int(number):
+        return int(number)
+    return 0
 
 
 class BarType(enum.Enum):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..endpoint.base import Endpoint
-from ..rdf.terms import Literal, URI
+from ..rdf.terms import URI
+from .model import count_value
 from .queries import (
     class_count_query,
     class_instance_count_query,
@@ -51,15 +52,6 @@ class ClassStatistics:
         )
 
 
-def _as_int(term) -> int:
-    if isinstance(term, Literal):
-        try:
-            return int(term.lexical)
-        except ValueError:
-            return 0
-    return 0
-
-
 class StatisticsService:
     """Computes dataset/class statistics through an endpoint, caching
     subclass lists (they are schema-level and small)."""
@@ -71,8 +63,8 @@ class StatisticsService:
 
     def dataset_statistics(self) -> DatasetStatistics:
         """The opening statistics (total triples, class count)."""
-        total = _as_int(self.endpoint.select(total_triples_query()).scalar())
-        classes = _as_int(self.endpoint.select(class_count_query()).scalar())
+        total = count_value(self.endpoint.select(total_triples_query()).scalar())
+        classes = count_value(self.endpoint.select(class_count_query()).scalar())
         return DatasetStatistics(total_triples=total, class_count=classes)
 
     def direct_subclasses(self, cls: URI) -> List[URI]:
@@ -118,7 +110,7 @@ class StatisticsService:
 
     def instance_count(self, cls: URI) -> int:
         """Number of instances typed as ``cls``."""
-        return _as_int(
+        return count_value(
             self.endpoint.select(class_instance_count_query(cls)).scalar()
         )
 

@@ -110,55 +110,80 @@ class LocalEndpoint(Endpoint):
         page_size: Optional[int] = None,
         continuation: Optional[str] = None,
     ) -> EndpointResponse:
-        """Answer a query, or one time-sliced page of it.
+        """Answer a query, or one time-sliced page of it: :meth:`execute`,
+        then emitted into the metrics registry and the query log."""
+        response = self.execute(
+            query_text,
+            quantum_ms=quantum_ms,
+            page_size=page_size,
+            continuation=continuation,
+        )
+        observe_response(response)
+        self._log(response)
+        return response
 
-        Every request takes the same path: compile through the plan
-        cache (the physical factory is cached alongside the algebra),
-        start a new execution — or, with a ``continuation``, restore
-        the suspended operator tree — and run it for one quantum.
-        With no ``quantum_ms`` / ``page_size`` nothing stops the
-        quantum, so the response is the complete answer.  Each response
-        is charged simulated latency for *its own* work only — the
-        responsiveness contract the paper's incremental evaluation
-        argues for.
+    def execute(
+        self,
+        query_text: Optional[str] = None,
+        *,
+        quantum_ms: Optional[float] = None,
+        page_size: Optional[int] = None,
+        continuation: Optional[str] = None,
+    ) -> EndpointResponse:
+        """The one place a request becomes a page.
+
+        Every request — in process, on a pool worker, or arriving over
+        the wire (:class:`~repro.endpoint.virtuoso.SimulatedVirtuosoServer`
+        serves through this method and does its own observing client-side)
+        — takes the same path: compile through the plan cache (the
+        physical factory is cached alongside the algebra), start a new
+        execution — or, with a ``continuation``, continue the live plan
+        or restore the suspended operator tree — and run it for one
+        quantum.  With no ``quantum_ms`` / ``page_size`` nothing stops
+        the quantum, so the response is the complete answer.  Each
+        response is charged simulated latency on the clock for *its own*
+        work only — the responsiveness contract the paper's incremental
+        evaluation argues for.
         """
-        from ..perf.hvs import normalize_query
         from ..sparql import executor as sparql_executor
 
-        plan = blob = None
+        live = blob = None
         if continuation is not None:
-            live = self._resume_cache.pop(
-                (continuation, self.graph.version), None
-            )
-            if live is not None:
-                # Fast path: this endpoint suspended that exact plan and
-                # the graph has not changed — continue the live operator
-                # tree instead of decoding and restoring the token.
-                # Still a token-driven resume as far as the serving
-                # metrics are concerned.
-                sparql_executor._RESUMES_TOTAL.inc()
-                plan, token_query = live
-            else:
+            key = (continuation, self.graph.version)
+            live = self._resume_cache.get(key)
+            if live is None:
                 blob = sparql_executor.decode_continuation(continuation)
                 token_query = blob["query"]
-            if query_text is not None and normalize_query(
-                query_text
-            ) != normalize_query(token_query):
-                raise sparql_executor.MalformedTokenError(
-                    "continuation token belongs to a different query"
-                )
+            else:
+                token_query = live[1]
+            sparql_executor.check_token_query(token_query, query_text)
             query_text = token_query
         elif query_text is None:
             raise TypeError("query_text is required without a continuation")
-        if plan is None:
+        if live is not None:
+            # Fast path: this endpoint suspended that exact plan and the
+            # graph has not changed — continue the live operator tree
+            # instead of decoding and restoring the token.  Still a
+            # token-driven resume as far as the serving metrics go.
+            del self._resume_cache[key]
+            sparql_executor._RESUMES_TOTAL.inc()
+            plan = live[0]
+        else:
             factory = self.plan(query_text).physical_factory()
             if blob is None:
                 plan = factory.instantiate(self.graph)
             else:
                 plan = sparql_executor.restore_plan(factory, self.graph, blob)
-        result, stats, complete = sparql_executor.run_request(
-            plan, quantum_ms=quantum_ms, page_size=page_size
-        )
+        try:
+            result, stats, complete = sparql_executor.run_request(
+                plan, quantum_ms=quantum_ms, page_size=page_size
+            )
+        except sparql_executor.InvalidBudgetError:
+            if live is not None:
+                # Refused before any operator ran: the live plan is
+                # untouched and the token's next resume keeps the fast path.
+                self._resume_cache[key] = live
+            raise
         token = None
         if not complete:
             token = sparql_executor.encode_continuation(
@@ -175,7 +200,7 @@ class LocalEndpoint(Endpoint):
             result_rows=len(result.rows) if hasattr(result, "rows") else 1,
         )
         self.clock.advance(elapsed)
-        response = EndpointResponse(
+        return EndpointResponse(
             result=result,
             elapsed_ms=elapsed,
             source=self.cost_model.name,
@@ -191,9 +216,6 @@ class LocalEndpoint(Endpoint):
                 else None
             ),
         )
-        observe_response(response)
-        self._log(response)
-        return response
 
     def query_all_pages(
         self,

@@ -5,7 +5,11 @@ compatibility mode does:
 
 * :class:`SimulatedVirtuosoServer` owns a graph and answers
   :class:`repro.endpoint.wire.SparqlHttpRequest` objects with JSON
-  bodies, charging remote-profile simulated latency.
+  bodies, charging remote-profile simulated latency.  What it adds is
+  the wire's own: the URL check, the fault roll and the JSON codec.
+  The request itself is answered by a
+  :class:`~repro.endpoint.local.LocalEndpoint` over the same graph —
+  the one engine path, whether reached in process or over HTTP.
 * :class:`RemoteEndpoint` is the client: it only sees the endpoint URL
   and the JSON wire — "even if we have no access to the actual RDF graph
   and cannot execute any preprocessing" (Section 4).  It therefore cannot
@@ -24,6 +28,7 @@ from .base import Endpoint, EndpointResponse, observe_response
 from .clock import SimClock
 from .cost import REMOTE_VIRTUOSO_PROFILE, CostModel
 from .faults import SLOW, TRANSIENT, FaultInjector
+from .local import LocalEndpoint
 from .wire import (
     SparqlHttpRequest,
     SparqlHttpResponse,
@@ -64,12 +69,11 @@ class SimulatedVirtuosoServer:
         self.requests_served = 0
         self.optimize = optimize
         self.faults = faults
-        # A real Virtuoso keeps its own server-side plan cache; so does
-        # the simulation (function-level import: repro.perf imports the
-        # decomposer, which imports this package's base module).
-        from ..perf.plancache import PlanCache
-
-        self.plan_cache = PlanCache()
+        # The engine behind the wire, with its own server-side plan
+        # cache and live-plan resume cache (a real Virtuoso keeps both).
+        self._engine = LocalEndpoint(
+            graph, clock=self.clock, cost_model=cost_model, optimize=optimize
+        )
 
     def handle(self, request: SparqlHttpRequest) -> SparqlHttpResponse:
         """Serve one protocol request, through the fault injector.
@@ -77,6 +81,12 @@ class SimulatedVirtuosoServer:
         An injected transient fault drops the request with a retryable
         503 before it touches the engine; an injected slow response
         serves the correct answer but charges an extra latency penalty.
+        Engine and continuation-token failures (malformed, cross-query,
+        cross-version, expired, a refused budget) are
+        :class:`~repro.sparql.errors.SparqlError` subclasses, so they
+        travel to the client as clean 400 protocol errors instead of
+        wrong answers.  The engine bills the shared clock for the work
+        of an answered request; the client does the observing.
         """
         if request.endpoint_url != self.url:
             _SERVER_ERROR.inc()
@@ -96,53 +106,13 @@ class SimulatedVirtuosoServer:
                 content_type="text/plain",
                 elapsed_ms=elapsed,
             )
-        response = self._dispatch(request)
-        if fault == SLOW and response.ok:
-            penalty = self.faults.slow_penalty_ms
-            self.clock.advance(penalty)
-            response = replace(
-                response, elapsed_ms=response.elapsed_ms + penalty
-            )
-        return response
-
-    def _dispatch(self, request: SparqlHttpRequest) -> SparqlHttpResponse:
-        """Execute one (fault-free) protocol request against the engine.
-
-        One body for every request: compile through the server's plan
-        cache, start — or restore from the continuation token — the
-        physical plan, and run one quantum; with no budget in the
-        request that quantum is the whole query.  Engine and
-        continuation-token failures (malformed, cross-version, expired)
-        are :class:`~repro.sparql.errors.SparqlError` subclasses, so
-        they travel to the client as clean 400 protocol errors instead
-        of wrong answers."""
-        from ..sparql import executor as sparql_executor
-
         self.requests_served += 1
         try:
-            blob = None
-            if request.continuation is not None:
-                blob = sparql_executor.decode_continuation(request.continuation)
-            factory = self.plan_cache.get(
+            answer = self._engine.execute(
                 request.query,
-                graph=self.graph if self.optimize else None,
-                optimize=self.optimize,
-            ).physical_factory()
-            if blob is None:
-                plan = factory.instantiate(self.graph)
-            else:
-                plan = sparql_executor.restore_plan(factory, self.graph, blob)
-            result, stats, complete = sparql_executor.run_request(
-                plan,
                 quantum_ms=request.quantum_ms,
                 page_size=request.page_size,
-            )
-            token = (
-                None
-                if complete
-                else sparql_executor.encode_continuation(
-                    plan, self.graph, request.query
-                )
+                continuation=request.continuation,
             )
         except Exception as error:  # engine errors -> HTTP error body
             _SERVER_ERROR.inc()
@@ -150,15 +120,19 @@ class SimulatedVirtuosoServer:
             self.clock.advance(elapsed)
             return encode_error(error, elapsed_ms=elapsed)
         _SERVER_OK.inc()
-        elapsed = self.cost_model.simulate_ms(
-            intermediate_bindings=stats.intermediate_bindings,
-            pattern_scans=stats.pattern_scans,
-            result_rows=len(result.rows) if hasattr(result, "rows") else 1,
+        response = encode_success(
+            answer.result,
+            elapsed_ms=answer.elapsed_ms,
+            continuation=answer.continuation,
+            complete=answer.complete,
         )
-        self.clock.advance(elapsed)
-        return encode_success(
-            result, elapsed_ms=elapsed, continuation=token, complete=complete
-        )
+        if fault == SLOW:
+            penalty = self.faults.slow_penalty_ms
+            self.clock.advance(penalty)
+            response = replace(
+                response, elapsed_ms=response.elapsed_ms + penalty
+            )
+        return response
 
     @property
     def dataset_version(self) -> int:

@@ -1,13 +1,13 @@
 """The paper's Section 4 responsiveness techniques: incremental
-evaluation, the heavy-query store (HVS), the delta-maintained
-materialized chart views (with the build-once specialised indexes as
-their non-tracking façade), the decomposer over those tables, and the
-eLinda endpoint router that chains them."""
+evaluation, the heavy-query store (HVS), the materialized chart views
+(delta-maintained, or built once with ``track=False`` — the paper's
+specialised indexes) together with the shape matchers they answer, the
+decomposer rung over those tables, and the eLinda endpoint router,
+which compiles a routed query once and hands the rungs its AST."""
 
-from .decomposer import Decomposer, PropertyExpansionSpec, match_property_expansion
+from .decomposer import Decomposer
 from .hvs import DEFAULT_HEAVY_THRESHOLD_MS, HeavyQueryStore, HvsEntry, normalize_query
 from .incremental import IncrementalConfig, IncrementalEvaluator, PartialResult
-from .indexes import PropertyCount, SpecializedIndexes
 from .plancache import CachedPlan, PlanCache, build_plan
 from .remote_incremental import (
     RemoteIncrementalConfig,
@@ -16,14 +16,16 @@ from .remote_incremental import (
 from .router import ElindaEndpoint
 from .views import (
     MaterializedViews,
+    PropertyCount,
+    PropertyExpansionSpec,
     match_member_count,
     match_object_chart,
+    match_property_expansion,
     match_subclass_chart,
 )
 
 __all__ = [
     "MaterializedViews",
-    "SpecializedIndexes",
     "PropertyCount",
     "match_subclass_chart",
     "match_member_count",

@@ -5,38 +5,30 @@ decomposition of SQL queries that utilizes the indexes and prevents
 heavy and redundant SPARQL computations.  Unlike the eLinda HVS, the
 eLinda decomposer can be used for *all* property expansion queries."
 
-The detector recognises the nested-aggregation property-expansion shape
-(the exact query :func:`repro.core.queries.property_chart_query`
-generates, which is the paper's Section 4 example query) and answers it
-from :class:`repro.perf.indexes.SpecializedIndexes` instead of running
-the join.
+The decomposer is the ladder rung with the paper's semantics: property
+expansions only (the nested-aggregation shape
+:func:`repro.core.queries.property_chart_query` generates, the paper's
+Section 4 example query), answered from build-once specialised indexes
+at the decomposition's cost — an index probe per member plus per-row
+assembly.  The indexes are a :class:`~repro.perf.views.MaterializedViews`
+(``track=False`` for the paper's build-once behaviour); the shape
+matcher and the answer body are the views module's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from ..core.model import Direction
 from ..endpoint.base import EndpointResponse, observe_response
 from ..endpoint.clock import SimClock
 from ..endpoint.cost import DECOMPOSER_PROFILE, CostModel
 from ..obs.metrics import REGISTRY
-from ..rdf.terms import Literal, URI
-from ..rdf.vocab import RDF, XSD
-from ..sparql.ast import (
-    AggregateExpr,
-    GroupGraphPattern,
-    SelectQuery,
-    SubSelectPattern,
-    TriplePatternNode,
-    Var,
-    VarExpr,
+from .views import (
+    MaterializedViews,
+    PropertyExpansionSpec,
+    match_property_expansion,
+    property_expansion_result,
 )
-from ..sparql.errors import SparqlError
-from ..sparql.parser import parse_query
-from ..sparql.results import SelectResult
-from .indexes import SpecializedIndexes
 
 __all__ = ["PropertyExpansionSpec", "match_property_expansion", "Decomposer"]
 
@@ -48,188 +40,41 @@ _DECOMPOSER_REQUESTS_TOTAL = REGISTRY.counter(
 _DECOMPOSER_REWRITTEN = _DECOMPOSER_REQUESTS_TOTAL.labels(outcome="rewritten")
 _DECOMPOSER_SKIPPED = _DECOMPOSER_REQUESTS_TOTAL.labels(outcome="skipped")
 
-_RDF_TYPE = RDF.term("type")
-_XSD_INTEGER = XSD.term("integer").value
-
-
-@dataclass(frozen=True)
-class PropertyExpansionSpec:
-    """A recognised property-expansion query."""
-
-    classes: tuple
-    direction: Direction
-    #: projection variable names for (property, subject count, triple sum)
-    var_names: tuple
-
-
-def _is_var(term, name: Optional[str] = None) -> bool:
-    return isinstance(term, Var) and (name is None or term.name == name)
-
-
-def _aggregate_projection(query: SelectQuery, agg_name: str) -> Optional[str]:
-    """The AS-variable of the (single) aggregate projection ``agg_name``."""
-    assert query.projections is not None
-    for projection in query.projections:
-        expression = projection.expression
-        if isinstance(expression, AggregateExpr) and expression.name == agg_name:
-            return projection.var.name
-    return None
-
-
-def match_property_expansion(
-    query_text: str, query=None
-) -> Optional[PropertyExpansionSpec]:
-    """Detect the property-expansion query shape; None when not matched.
-
-    ``query`` may carry an already-parsed AST (e.g. out of the plan
-    cache) to skip re-parsing the text.
-
-    Matched shape (member variable ``?s``, any variable names accepted):
-
-    .. code-block:: sparql
-
-        SELECT ?p (COUNT(?p) AS ?c) (SUM(?sp) AS ?t) WHERE {
-          { SELECT ?s ?p (COUNT(*) AS ?sp) WHERE {
-              ?s rdf:type <C1> .  ...  ?s rdf:type <Ck> .
-              ?s ?p ?o .          # or  ?o ?p ?s .  for incoming
-            } GROUP BY ?s ?p }
-        } GROUP BY ?p
-
-    The member pattern must consist solely of ``rdf:type`` constraints —
-    that is, the bar sits on a (materialised) subclass chain, which is
-    the paper's "subclasses of owl:Thing" condition.
-    """
-    if query is None:
-        try:
-            query = parse_query(query_text)
-        except SparqlError:
-            return None
-    if not isinstance(query, SelectQuery) or query.projections is None:
-        return None
-    # Outer: GROUP BY one variable, projections = that var + COUNT + SUM.
-    if len(query.group_by) != 1 or not isinstance(query.group_by[0], VarExpr):
-        return None
-    prop_var = query.group_by[0].var.name
-    if len(query.projections) != 3:
-        return None
-    if (
-        query.projections[0].expression is not None
-        or query.projections[0].var.name != prop_var
-    ):
-        return None
-    count_var = _aggregate_projection(query, "COUNT")
-    sum_var = _aggregate_projection(query, "SUM")
-    if count_var is None or sum_var is None:
-        return None
-    if query.having or query.distinct or query.limit is not None or query.offset:
-        return None
-    # Body: exactly one sub-select.
-    children = query.where.children
-    if len(children) != 1 or not isinstance(children[0], SubSelectPattern):
-        return None
-    inner = children[0].query
-    if inner.projections is None or len(inner.group_by) != 2:
-        return None
-    if not all(isinstance(key, VarExpr) for key in inner.group_by):
-        return None
-    inner_keys = {key.var.name for key in inner.group_by}  # type: ignore[union-attr]
-    if prop_var not in inner_keys:
-        return None
-    member_var = (inner_keys - {prop_var}).pop()
-    # Inner projections: ?s ?p (COUNT(*) AS ?sp).
-    inner_count = None
-    for projection in inner.projections:
-        expression = projection.expression
-        if isinstance(expression, AggregateExpr):
-            if expression.name != "COUNT" or expression.argument is not None:
-                return None
-            inner_count = projection.var.name
-    if inner_count is None:
-        return None
-    # Inner body: only triple patterns.
-    if not isinstance(inner.where, GroupGraphPattern):
-        return None
-    type_classes: List[URI] = []
-    edge: Optional[TriplePatternNode] = None
-    for child in inner.where.children:
-        if not isinstance(child, TriplePatternNode):
-            return None
-        if (
-            _is_var(child.subject, member_var)
-            and child.predicate == _RDF_TYPE
-            and isinstance(child.object, URI)
-        ):
-            type_classes.append(child.object)
-        elif _is_var(child.predicate, prop_var):
-            if edge is not None:
-                return None
-            edge = child
-        else:
-            return None
-    if edge is None or not type_classes:
-        return None
-    if _is_var(edge.subject, member_var) and _is_var(edge.object):
-        direction = Direction.OUTGOING
-    elif _is_var(edge.object, member_var) and _is_var(edge.subject):
-        direction = Direction.INCOMING
-    else:
-        return None
-    return PropertyExpansionSpec(
-        classes=tuple(type_classes),
-        direction=direction,
-        var_names=(prop_var, count_var, sum_var),
-    )
-
 
 class Decomposer:
     """Answers recognised property expansions from the indexes."""
 
     def __init__(
         self,
-        indexes: SpecializedIndexes,
+        indexes: MaterializedViews,
         clock: Optional[SimClock] = None,
         cost_model: CostModel = DECOMPOSER_PROFILE,
-        plan_cache=None,
     ):
         self.indexes = indexes
         self.clock = clock or SimClock()
         self.cost_model = cost_model
-        self.plan_cache = plan_cache
         self.hits = 0
         self.misses = 0
 
-    def try_answer(self, query_text: str) -> Optional[EndpointResponse]:
-        """Answer the query from the indexes, or None when out of scope."""
-        parsed = None
-        if self.plan_cache is not None:
-            # Shape matching happens per request; the cached AST makes it
-            # a pure tree walk instead of a parse + walk.
-            try:
-                parsed = self.plan_cache.parse(query_text)
-            except SparqlError:
-                parsed = None
-        spec = match_property_expansion(query_text, query=parsed)
-        if spec is None:
-            self.misses += 1
-            _DECOMPOSER_SKIPPED.inc()
-            return None
-        rows = self.indexes.property_expansion(list(spec.classes), spec.direction)
+    def try_answer(self, query_text: str, query=None) -> Optional[EndpointResponse]:
+        """Answer the query from the indexes, or None when out of scope.
+
+        ``query`` is the text's AST when the caller already has it (the
+        router's door); without one the matcher parses the text.
+        """
+        spec = match_property_expansion(query_text, query=query)
+        rows = None
+        if spec is not None:
+            rows = self.indexes.property_expansion(
+                list(spec.classes), spec.direction
+            )
         if rows is None:
             self.misses += 1
             _DECOMPOSER_SKIPPED.inc()
             return None
         self.hits += 1
         _DECOMPOSER_REWRITTEN.inc()
-        prop_var, count_var, sum_var = spec.var_names
-        bindings = [
-            {
-                prop_var: row.prop,
-                count_var: Literal(str(row.subject_count), datatype=_XSD_INTEGER),
-                sum_var: Literal(str(row.triple_count), datatype=_XSD_INTEGER),
-            }
-            for row in rows
-        ]
-        result = SelectResult([prop_var, count_var, sum_var], bindings)
+        result = property_expansion_result(spec, rows)
         # Simulated latency: an index probe per member (the SQL-side
         # subject-type scan) plus per-row result assembly.
         probes = min(
@@ -239,7 +84,7 @@ class Decomposer:
         elapsed = self.cost_model.simulate_ms(
             intermediate_bindings=0,
             pattern_scans=probes,
-            result_rows=len(bindings),
+            result_rows=len(result.rows),
         )
         self.clock.advance(elapsed)
         response = EndpointResponse(

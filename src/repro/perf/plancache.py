@@ -13,6 +13,12 @@ re-derived — never served stale — once the graph changes.  Entries whose
 plan is purely structural (no graph supplied at planning time) have
 ``stats_version is None`` and survive updates.
 
+An entry is always a whole plan.  A caller that only wants the AST (the
+router's ladder matches chart shapes on it) reads ``.query`` off the
+entry its endpoint executes; there is no AST-only lookup, because an
+unoptimized entry stored under the same key would be served to the
+executing endpoint in place of the optimized plan.
+
 Hits, misses, evictions, and invalidations are exported through the
 metrics registry (``repro metrics``).
 """
@@ -148,9 +154,6 @@ class PlanCache:
         _SIZE.set(len(self._entries))
         return entry
 
-    def parse(self, query_text: str) -> Query:
-        """AST-only lookup (used by the decomposer's shape matching)."""
-        return self.get(query_text, graph=None, optimize=False).query
 
 def build_plan(query_text: str, graph=None, optimize: bool = True) -> CachedPlan:
     """Parse, translate, and (optionally) optimize one query text.

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
-from ..core.model import Direction
+from ..core.model import Direction, count_value
 from ..core.queries import MemberPattern
 from ..endpoint.base import Endpoint
 from ..rdf.terms import Literal, Term
@@ -113,8 +113,8 @@ class RemoteIncrementalEvaluator:
             page_triples = 0
             for row in result.rows:
                 prop = row.get("p")
-                count = _as_int(row.get("count"))
-                triples = _as_int(row.get("triples"))
+                count = count_value(row.get("count"))
+                triples = count_value(row.get("triples"))
                 page_triples += triples
                 if prop is None:
                     continue
@@ -164,11 +164,3 @@ class RemoteIncrementalEvaluator:
         rows.sort(key=lambda row: (-int(row["count"].lexical), row["p"].sort_key()))
         return SelectResult(["p", "count", "triples"], rows)
 
-
-def _as_int(term) -> int:
-    if isinstance(term, Literal):
-        try:
-            return int(term.lexical)
-        except ValueError:
-            return 0
-    return 0

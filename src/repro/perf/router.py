@@ -1,4 +1,4 @@
-"""The eLinda endpoint: HVS -> decomposer -> backend routing (Fig. 3).
+"""The eLinda endpoint: HVS -> views -> decomposer -> backend (Fig. 3).
 
 "For each query to the eLinda endpoint, the system first checks if the
 HVS encountered it before and determined it to be heavy.  If so, use the
@@ -11,12 +11,20 @@ incrementally-maintained :class:`~repro.perf.views.MaterializedViews`
 whose build-once indexes answer while no update has occurred.  The
 ladder is HVS → views → decomposer → backend.
 
+The router is the one door where a routed text becomes an AST: past the
+HVS (which is keyed on text) it asks the backend for the request's
+compiled plan once and hands the aggregate rungs that plan's AST, so a
+query no rung answers reaches the backend with its optimized plan
+already cached.  A backend without a planner (a remote client) or a
+text that does not parse goes down the ladder with no AST and each rung
+parses for itself.
+
 The same chain doubles as a *fallback ladder* under backend failure:
 when a :class:`~repro.serve.breaker.CircuitBreaker` on the backend is
-open, queries the HVS has cached or the decomposer can rewrite are
-still answered, and only queries that genuinely need the backend raise
-:class:`~repro.serve.breaker.CircuitOpenError` for the serving layer to
-back off on.
+open, queries the HVS has cached or the views / decomposer can answer
+are still answered, and only queries that genuinely need the backend
+raise :class:`~repro.serve.breaker.CircuitOpenError` for the serving
+layer to back off on.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from typing import Optional
 from ..endpoint.base import Endpoint, EndpointResponse
 from ..endpoint.wire import TransientWireError
 from ..obs.metrics import REGISTRY
+from ..sparql.errors import SparqlError
 from .decomposer import Decomposer
 from .hvs import HeavyQueryStore
 
@@ -73,12 +82,6 @@ class ElindaEndpoint(Endpoint):
         self.use_views = use_views
         self.use_decomposer = use_decomposer
         self.breaker = breaker
-        # Shape detection and execution look at the same queries: let the
-        # aggregate layers read ASTs out of the backend's plan cache.
-        if decomposer is not None and decomposer.plan_cache is None:
-            decomposer.plan_cache = getattr(backend, "plan_cache", None)
-        if views is not None and views.plan_cache is None:
-            views.plan_cache = getattr(backend, "plan_cache", None)
 
     @property
     def dataset_version(self) -> int:
@@ -122,25 +125,27 @@ class ElindaEndpoint(Endpoint):
                 return cached
         # 2. Materialized chart views (delta-maintained, so `is_fresh`
         # holds across graph edits; untracked views behave like the
-        # decomposer's build-once indexes and go stale instead).
-        if self.use_views and self.views is not None and self.views.is_fresh:
-            viewed = self.views.try_answer(query_text)
-            if viewed is not None:
-                _ROUTE_VIEWS.inc()
-                self._log(viewed)
-                return viewed
-        # 3. Decomposer (only while its indexes reflect the current
+        # decomposer's build-once indexes and go stale instead), then
+        # 3. the decomposer (only while its indexes reflect the current
         # knowledge base — they are rebuilt offline after updates).
+        # Both match on the AST, compiled once for whoever is asked.
+        rungs = []
+        if self.use_views and self.views is not None and self.views.is_fresh:
+            rungs.append((self.views, _ROUTE_VIEWS))
         if (
             self.use_decomposer
             and self.decomposer is not None
             and self.decomposer.indexes.is_fresh
         ):
-            decomposed = self.decomposer.try_answer(query_text)
-            if decomposed is not None:
-                _ROUTE_DECOMPOSER.inc()
-                self._log(decomposed)
-                return decomposed
+            rungs.append((self.decomposer, _ROUTE_DECOMPOSER))
+        if rungs:
+            ast = self._compile(query_text)
+            for rung, route in rungs:
+                answered = rung.try_answer(query_text, query=ast)
+                if answered is not None:
+                    route.inc()
+                    self._log(answered)
+                    return answered
         # 4. Backend, measuring runtime for heaviness detection.
         response = self._query_backend(
             query_text,
@@ -153,6 +158,20 @@ class ElindaEndpoint(Endpoint):
             self._record_heavy(query_text, response, version)
         self._log(response)
         return response
+
+    def _compile(self, query_text: str):
+        """The routed text's AST, off the plan the backend will execute.
+
+        None when the backend has no planner or the text does not parse
+        (the backend then reports the syntax error itself).
+        """
+        planner = getattr(self.backend, "plan", None)
+        if planner is None:
+            return None
+        try:
+            return planner(query_text).query
+        except SparqlError:
+            return None
 
     def _query_backend(
         self,

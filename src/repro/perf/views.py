@@ -10,17 +10,17 @@ materializes the aggregate tables *behind* the three expansion shapes —
   property expansion, the paper's heavy query), and
 * connection (object-type) counts (the Connections tab),
 
-— as ID-keyed count tables, built once in ID space exactly like the old
-``SpecializedIndexes._build`` and then **maintained incrementally**: the
-graph notifies the views of every added/removed triple through the
-mutation-delta hook (:meth:`repro.rdf.graph.Graph.add_listener`), and
-each delta updates the affected counters in time proportional to the
-mutated node's degree.  A chart expansion answered from the views is
+— as ID-keyed count tables, built once in ID space and then
+**maintained incrementally**: the graph notifies the views of every
+added/removed triple through the mutation-delta hook
+(:meth:`repro.rdf.graph.Graph.add_listener`), and each delta updates
+the affected counters in time proportional to the mutated node's degree.  A chart expansion answered from the views is
 O(bars) regardless of member count, and — unlike the HVS and the
 build-once indexes — stays correct while the graph is being edited.
 
-``SpecializedIndexes`` is now a build-once façade over this class (see
-:mod:`repro.perf.indexes`); the decomposer consumes the same tables.
+The decomposer consumes the same tables: its build-once indexes are an
+instance with ``track=False``.  The AST shape matchers for all four
+answerable shapes live here, next to the tables they are answered from.
 
 Connection tables are materialized lazily per ``(class, property,
 direction)`` on first lookup (the key space is quadratic, the queried
@@ -44,8 +44,10 @@ from ..rdf.terms import Literal, URI
 from ..rdf.vocab import RDF, RDFS, XSD
 from ..sparql.ast import (
     AggregateExpr,
+    GroupGraphPattern,
     OptionalPattern,
     SelectQuery,
+    SubSelectPattern,
     TriplePatternNode,
     Var,
     VarExpr,
@@ -57,12 +59,15 @@ from ..sparql.results import SelectResult
 __all__ = [
     "PropertyCount",
     "MaterializedViews",
+    "PropertyExpansionSpec",
     "SubclassChartSpec",
     "MemberCountSpec",
     "ObjectChartSpec",
+    "match_property_expansion",
     "match_subclass_chart",
     "match_member_count",
     "match_object_chart",
+    "property_expansion_result",
 ]
 
 _RDF_TYPE = RDF.term("type")
@@ -102,9 +107,18 @@ class PropertyCount:
 
 
 # ----------------------------------------------------------------------
-# Shape detection (the decomposer's match_property_expansion covers the
-# property-expansion shape; these cover the other chart shapes)
+# Shape detection
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PropertyExpansionSpec:
+    """A recognised property-expansion query."""
+
+    classes: tuple
+    direction: Direction
+    #: projection variable names for (property, subject count, triple sum)
+    var_names: tuple
 
 
 @dataclass(frozen=True)
@@ -150,6 +164,32 @@ def _parse(query_text: str, query):
         return None
 
 
+def _chart_key(query, projections: int) -> Optional[str]:
+    """The variable a chart query groups by, or None for any other query.
+
+    The three chart shapes share their outer frame: ``SELECT ?key`` plus
+    aggregates (``projections`` columns in all), ``GROUP BY ?key``, and
+    no HAVING / DISTINCT / LIMIT / OFFSET.
+    """
+    if (
+        not isinstance(query, SelectQuery)
+        or query.projections is None
+        or len(query.projections) != projections
+        or len(query.group_by) != 1
+        or not isinstance(query.group_by[0], VarExpr)
+        or query.having
+        or query.distinct
+        or query.limit is not None
+        or query.offset
+    ):
+        return None
+    key = query.group_by[0].var.name
+    first = query.projections[0]
+    if first.expression is not None or first.var.name != key:
+        return None
+    return key
+
+
 def _count_distinct_var(expression) -> Optional[str]:
     """The argument variable of a ``COUNT(DISTINCT ?x)`` expression."""
     if (
@@ -160,6 +200,106 @@ def _count_distinct_var(expression) -> Optional[str]:
     ):
         return expression.argument.var.name
     return None
+
+
+def _aggregate_projection(query: SelectQuery, agg_name: str) -> Optional[str]:
+    """The AS-variable of the (single) aggregate projection ``agg_name``."""
+    assert query.projections is not None
+    for projection in query.projections:
+        expression = projection.expression
+        if isinstance(expression, AggregateExpr) and expression.name == agg_name:
+            return projection.var.name
+    return None
+
+
+def match_property_expansion(
+    query_text: str, query=None
+) -> Optional[PropertyExpansionSpec]:
+    """Detect the property-expansion query shape; None when not matched.
+
+    ``query`` may carry the already-parsed AST (the router hands the
+    ladder the one its backend compiled) to skip re-parsing the text.
+
+    Matched shape (member variable ``?s``, any variable names accepted):
+
+    .. code-block:: sparql
+
+        SELECT ?p (COUNT(?p) AS ?c) (SUM(?sp) AS ?t) WHERE {
+          { SELECT ?s ?p (COUNT(*) AS ?sp) WHERE {
+              ?s rdf:type <C1> .  ...  ?s rdf:type <Ck> .
+              ?s ?p ?o .          # or  ?o ?p ?s .  for incoming
+            } GROUP BY ?s ?p }
+        } GROUP BY ?p
+
+    The member pattern must consist solely of ``rdf:type`` constraints —
+    that is, the bar sits on a (materialised) subclass chain, which is
+    the paper's "subclasses of owl:Thing" condition.
+    """
+    query = _parse(query_text, query)
+    # Outer: GROUP BY one variable, projections = that var + COUNT + SUM.
+    prop_var = _chart_key(query, projections=3)
+    if prop_var is None:
+        return None
+    count_var = _aggregate_projection(query, "COUNT")
+    sum_var = _aggregate_projection(query, "SUM")
+    if count_var is None or sum_var is None:
+        return None
+    # Body: exactly one sub-select.
+    children = query.where.children
+    if len(children) != 1 or not isinstance(children[0], SubSelectPattern):
+        return None
+    inner = children[0].query
+    if inner.projections is None or len(inner.group_by) != 2:
+        return None
+    if not all(isinstance(key, VarExpr) for key in inner.group_by):
+        return None
+    inner_keys = {key.var.name for key in inner.group_by}  # type: ignore[union-attr]
+    if prop_var not in inner_keys:
+        return None
+    member_var = (inner_keys - {prop_var}).pop()
+    # Inner projections: ?s ?p (COUNT(*) AS ?sp).
+    inner_count = None
+    for projection in inner.projections:
+        expression = projection.expression
+        if isinstance(expression, AggregateExpr):
+            if expression.name != "COUNT" or expression.argument is not None:
+                return None
+            inner_count = projection.var.name
+    if inner_count is None:
+        return None
+    # Inner body: only triple patterns.
+    if not isinstance(inner.where, GroupGraphPattern):
+        return None
+    type_classes: List[URI] = []
+    edge: Optional[TriplePatternNode] = None
+    for child in inner.where.children:
+        if not isinstance(child, TriplePatternNode):
+            return None
+        if (
+            _is_var(child.subject, member_var)
+            and child.predicate == _RDF_TYPE
+            and isinstance(child.object, URI)
+        ):
+            type_classes.append(child.object)
+        elif _is_var(child.predicate, prop_var):
+            if edge is not None:
+                return None
+            edge = child
+        else:
+            return None
+    if edge is None or not type_classes:
+        return None
+    if _is_var(edge.subject, member_var) and _is_var(edge.object):
+        direction = Direction.OUTGOING
+    elif _is_var(edge.object, member_var) and _is_var(edge.subject):
+        direction = Direction.INCOMING
+    else:
+        return None
+    return PropertyExpansionSpec(
+        classes=tuple(type_classes),
+        direction=direction,
+        var_names=(prop_var, count_var, sum_var),
+    )
 
 
 def match_subclass_chart(query_text: str, query=None) -> Optional[SubclassChartSpec]:
@@ -179,24 +319,13 @@ def match_subclass_chart(query_text: str, query=None) -> Optional[SubclassChartS
     The member pattern must consist solely of ``rdf:type`` constraints.
     """
     query = _parse(query_text, query)
-    if not isinstance(query, SelectQuery) or query.projections is None:
-        return None
-    if len(query.group_by) != 1 or not isinstance(query.group_by[0], VarExpr):
-        return None
-    sub_var = query.group_by[0].var.name
-    if len(query.projections) != 2:
-        return None
-    if (
-        query.projections[0].expression is not None
-        or query.projections[0].var.name != sub_var
-    ):
+    sub_var = _chart_key(query, projections=2)
+    if sub_var is None:
         return None
     member_var = _count_distinct_var(query.projections[1].expression)
     if member_var is None or member_var == sub_var:
         return None
     count_var = query.projections[1].var.name
-    if query.having or query.distinct or query.limit is not None or query.offset:
-        return None
     children = query.where.children
     if len(children) != 2:
         return None
@@ -283,24 +412,13 @@ def match_object_chart(query_text: str, query=None) -> Optional[ObjectChartSpec]
     is accepted as redundant — the chart's edge line subsumes it.
     """
     query = _parse(query_text, query)
-    if not isinstance(query, SelectQuery) or query.projections is None:
-        return None
-    if len(query.group_by) != 1 or not isinstance(query.group_by[0], VarExpr):
-        return None
-    type_var = query.group_by[0].var.name
-    if len(query.projections) != 2:
-        return None
-    if (
-        query.projections[0].expression is not None
-        or query.projections[0].var.name != type_var
-    ):
+    type_var = _chart_key(query, projections=2)
+    if type_var is None:
         return None
     node_var = _count_distinct_var(query.projections[1].expression)
     if node_var is None or node_var == type_var:
         return None
     count_var = query.projections[1].var.name
-    if query.having or query.distinct or query.limit is not None or query.offset:
-        return None
     children = query.where.children
     if not all(isinstance(child, TriplePatternNode) for child in children):
         return None
@@ -389,9 +507,10 @@ class MaterializedViews:
     itself as a :meth:`~repro.rdf.graph.Graph.add_listener` delta
     listener and stays current across ``add``/``remove``/``bulk_load``
     without rebuilding — ``is_fresh`` then never goes stale.  With
-    ``track=False`` it behaves like the old build-once
-    ``SpecializedIndexes``: ``version`` records the build version and
-    ``is_fresh`` compares it against the live graph.
+    ``track=False`` the tables are the decomposer's build-once
+    specialised indexes (paper, Section 4): ``version`` records the
+    build version and ``is_fresh`` compares it against the live graph,
+    so the router falls back to the backend after the first mutation.
     """
 
     def __init__(
@@ -399,14 +518,11 @@ class MaterializedViews:
         graph,
         clock: Optional[SimClock] = None,
         cost_model: CostModel = VIEWS_PROFILE,
-        plan_cache=None,
         track: bool = True,
     ):
         self.graph = graph
-        self._graph = graph  # SpecializedIndexes back-compat alias
         self.clock = clock or SimClock()
         self.cost_model = cost_model
-        self.plan_cache = plan_cache
         self._track = bool(track) and hasattr(graph, "add_listener")
         self.hits = 0
         self.misses = 0
@@ -831,24 +947,16 @@ class MaterializedViews:
     # ------------------------------------------------------------------
 
     def try_answer(self, query_text: str, query=None) -> Optional[EndpointResponse]:
-        """Answer a recognised chart query from the views, or None."""
-        parsed = query
-        if parsed is None and self.plan_cache is not None:
-            # Shape matching happens per request; the cached AST makes it
-            # a pure tree walk instead of a parse + walk.
-            try:
-                parsed = self.plan_cache.parse(query_text)
-            except SparqlError:
-                parsed = None
+        """Answer a recognised chart query from the views, or None.
+
+        ``query`` is the text's AST when the caller already has it (the
+        router's door); without one the text is parsed here.
+        """
+        parsed = _parse(query_text, query)
         if parsed is None:
-            try:
-                parsed = parse_query(query_text)
-            except SparqlError:
-                return self._miss("other")
+            return self._miss("other")
         # Property expansion — the paper's heavy query — first: it is by
         # far the most frequent view-served shape.
-        from .decomposer import match_property_expansion
-
         prop_spec = match_property_expansion(query_text, query=parsed)
         if prop_spec is not None:
             rows = self.property_expansion(
@@ -856,17 +964,9 @@ class MaterializedViews:
             )
             if rows is None:
                 return self._miss("property")
-            prop_var, count_var, sum_var = prop_spec.var_names
-            bindings = [
-                {
-                    prop_var: row.prop,
-                    count_var: _int_literal(row.subject_count),
-                    sum_var: _int_literal(row.triple_count),
-                }
-                for row in rows
-            ]
-            result = SelectResult([prop_var, count_var, sum_var], bindings)
-            return self._hit("property", result, query_text)
+            return self._hit(
+                "property", property_expansion_result(prop_spec, rows), query_text
+            )
         sub_spec = match_subclass_chart(query_text, query=parsed)
         if sub_spec is not None:
             pairs = self.subclass_chart(list(sub_spec.classes), sub_spec.parent)
@@ -968,3 +1068,22 @@ class MaterializedViews:
 
 def _int_literal(value: int) -> Literal:
     return Literal(str(value), datatype=_XSD_INTEGER)
+
+
+def property_expansion_result(
+    spec: PropertyExpansionSpec, rows: List[PropertyCount]
+) -> SelectResult:
+    """The property chart's result under the query's own variable names
+    (the one answer body of the views rung and the decomposer rung)."""
+    prop_var, count_var, sum_var = spec.var_names
+    return SelectResult(
+        [prop_var, count_var, sum_var],
+        [
+            {
+                prop_var: row.prop,
+                count_var: _int_literal(row.subject_count),
+                sum_var: _int_literal(row.triple_count),
+            }
+            for row in rows
+        ],
+    )

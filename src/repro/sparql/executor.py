@@ -17,8 +17,9 @@ against, the query text, and the saved operator-state tree.  Decoding
 distinguishes three failure classes, each surfaced as a clean protocol
 error rather than a wrong answer:
 
-- **malformed** (:class:`MalformedTokenError`) — not base64/JSON, or the
-  state tree does not fit the plan compiled from the embedded query;
+- **malformed** (:class:`MalformedTokenError`) — not base64/JSON, the
+  state tree does not fit the plan compiled from the embedded query, or
+  the request's own query text is not the embedded one;
 - **cross-version** (:class:`TokenVersionError`) — minted by a different
   token format version of the software;
 - **expired** (:class:`ExpiredTokenError`) — the graph changed since the
@@ -60,6 +61,7 @@ __all__ = [
     "run_request",
     "encode_continuation",
     "decode_continuation",
+    "check_token_query",
     "restore_plan",
     "RoundRobinScheduler",
 ]
@@ -344,6 +346,26 @@ def decode_continuation(token: str) -> Dict:
         _TOKEN_REJECTS_TOTAL.labels(reason="malformed").inc()
         raise MalformedTokenError("continuation token envelope is incomplete")
     return blob
+
+
+def check_token_query(token_query: str, query_text: Optional[str]) -> None:
+    """Refuse a token replayed against a query it was not minted for.
+
+    ``restore_plan`` only compares operator labels, so a token for
+    ``?s a <A>`` fits the plan of ``?s a <B>`` and would resume it at
+    the wrong offset.  Texts are compared whitespace-normalised (the
+    plan-cache key); a request carrying only the token has nothing to
+    disagree with.
+    """
+    if query_text is None or query_text == token_query:
+        return
+    from ..perf.hvs import normalize_query  # repro.perf imports this package
+
+    if normalize_query(query_text) != normalize_query(token_query):
+        _TOKEN_REJECTS_TOTAL.labels(reason="malformed").inc()
+        raise MalformedTokenError(
+            "continuation token belongs to a different query"
+        )
 
 
 def restore_plan(

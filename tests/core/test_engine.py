@@ -172,27 +172,65 @@ class TestAsInt:
     xsd:decimal/xsd:double; an integral float is still an exact count."""
 
     def test_plain_integer(self):
-        from repro.core.engine import _as_int
+        from repro.core.model import count_value as _as_int
 
         assert _as_int(Literal("3", datatype=XSD_INTEGER)) == 3
 
     def test_integral_decimal_lexical(self):
-        from repro.core.engine import _as_int
+        from repro.core.model import count_value as _as_int
 
         assert _as_int(Literal("3.0", datatype=XSD_DECIMAL)) == 3
 
     def test_integral_double_scientific(self):
-        from repro.core.engine import _as_int
+        from repro.core.model import count_value as _as_int
 
         assert _as_int(Literal("3.0e0", datatype=XSD_DOUBLE)) == 3
 
     def test_non_integral_and_junk_fall_back_to_zero(self):
-        from repro.core.engine import _as_int
+        from repro.core.model import count_value as _as_int
 
         assert _as_int(Literal("3.5", datatype=XSD_DECIMAL)) == 0
         assert _as_int(Literal("not a count")) == 0
         assert _as_int(None) == 0
         assert _as_int(DBO.term("Person")) == 0
+
+    @pytest.mark.parametrize(
+        "cell, expected",
+        [
+            (Literal("3", datatype=XSD_INTEGER), 3),
+            (Literal("3.0", datatype=XSD_DECIMAL), 3),
+            (Literal("3.0e0", datatype=XSD_DOUBLE), 3),
+            (Literal("3.5", datatype=XSD_DECIMAL), 0),
+            (Literal("NaN", datatype=XSD_DOUBLE), 0),
+            (Literal("INF", datatype=XSD_DOUBLE), 0),
+            (Literal("-INF", datatype=XSD_DOUBLE), 0),
+            (Literal("abc"), 0),
+            (DBO.term("Person"), 0),
+            (None, 0),
+        ],
+    )
+    def test_one_helper_never_raises(self, cell, expected):
+        """The chart engine, the statistics service and the remote
+        incremental merge all read counts through this one function; a
+        remote backend's odd literal is an empty bar, not a traceback."""
+        from repro.core.model import count_value
+
+        assert count_value(cell) == expected
+
+    def test_statistics_accept_an_integral_decimal_count(self):
+        from repro.core.statistics import StatisticsService
+        from repro.sparql.results import SelectResult
+
+        class _SevenPointZero:
+            dataset_version = 0
+
+            def select(self, query_text):
+                return SelectResult(
+                    ["count"], [{"count": Literal("7.0", datatype=XSD_DECIMAL)}]
+                )
+
+        service = StatisticsService(_SevenPointZero())
+        assert service.instance_count(DBO.term("Person")) == 7
 
 
 class _UnpagedEndpoint:

@@ -9,7 +9,11 @@ import pytest
 
 from repro.endpoint import LocalEndpoint
 from repro.rdf import Graph, Literal, URI
-from repro.sparql.executor import ExpiredTokenError, MalformedTokenError
+from repro.sparql.executor import (
+    ExpiredTokenError,
+    InvalidBudgetError,
+    MalformedTokenError,
+)
 
 EX = "http://ex.org/"
 SCAN = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }"
@@ -90,3 +94,31 @@ class TestResumeCache:
         assert rendered(response.result.rows) == rendered(
             reference.result.rows
         )
+
+    def test_refused_budget_keeps_the_live_plan(self, monkeypatch):
+        """A continuation refused for its budget ran nothing: the next
+        valid resume of the same token still continues the live plan
+        (no decode + restore), and no row is lost or repeated."""
+        from repro.sparql import executor
+
+        graph = build_graph()
+        undisturbed = LocalEndpoint(graph).query(SCAN).result.rows
+        endpoint = LocalEndpoint(graph)
+        decodes = []
+        real = executor.decode_continuation
+        monkeypatch.setattr(
+            executor,
+            "decode_continuation",
+            lambda token: decodes.append(token) or real(token),
+        )
+        response = endpoint.query(SCAN, page_size=6)
+        rows = list(response.result.rows)
+        while not response.complete:
+            with pytest.raises(InvalidBudgetError):
+                endpoint.query(continuation=response.continuation, page_size=0)
+            response = endpoint.query(
+                continuation=response.continuation, page_size=6
+            )
+            rows.extend(response.result.rows)
+        assert decodes == []
+        assert rendered(rows) == rendered(undisturbed)

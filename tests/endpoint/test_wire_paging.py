@@ -10,6 +10,7 @@ from repro.core import ChartEngine
 from repro.endpoint import (
     LocalEndpoint,
     RemoteEndpoint,
+    SimClock,
     SimulatedVirtuosoServer,
     decode_page,
     encode_request,
@@ -190,6 +191,236 @@ class TestWirePaging:
             remote.query(
                 ALL_TRIPLES, page_size=4, continuation=first.continuation
             )
+
+
+EX = "http://ex.org/"
+OVER_A = f"SELECT ?s WHERE {{ ?s a <{EX}A> }}"
+OVER_B = f"SELECT ?s WHERE {{ ?s a <{EX}B> }}"
+
+
+def _two_class_graph():
+    from repro.rdf import RDF, Graph, URI
+
+    graph = Graph(name="two-classes")
+    for cls in "AB":
+        for i in range(10):
+            graph.add(
+                URI(f"{EX}{cls.lower()}{i}"), RDF.term("type"), URI(EX + cls)
+            )
+    return graph
+
+
+def _counter(name, **labels):
+    from repro.obs.metrics import REGISTRY
+
+    metric = REGISTRY.get(name)
+    return metric.labels(**labels).value if labels else metric.value
+
+
+def _local_door(graph):
+    return LocalEndpoint(graph)
+
+
+def _wire_door(graph):
+    return RemoteEndpoint(SimulatedVirtuosoServer(graph))
+
+
+class TestTokenBelongsToItsQuery:
+    """A token for ``?s a <A>`` fits the plan of ``?s a <B>`` operator
+    for operator, so only the text comparison stands between a replay
+    and a silently wrong page — on every door."""
+
+    @pytest.mark.parametrize("door", [_local_door, _wire_door])
+    def test_same_shape_other_query_is_refused_typed(self, door):
+        from repro.sparql import MalformedTokenError
+
+        endpoint = door(_two_class_graph())
+        first = endpoint.query(OVER_A, page_size=3)
+        assert [row["s"].value for row in first.rows] == [
+            f"{EX}a{i}" for i in range(3)
+        ]
+        rejects = _counter("repro_exec_token_rejects_total", reason="malformed")
+        with pytest.raises(MalformedTokenError):
+            endpoint.query(
+                OVER_B, page_size=3, continuation=first.continuation
+            )
+        assert (
+            _counter("repro_exec_token_rejects_total", reason="malformed")
+            == rejects + 1
+        )
+        # The refusal cost the rightful owner nothing.
+        resumed = endpoint.query(
+            OVER_A, page_size=3, continuation=first.continuation
+        )
+        assert [row["s"].value for row in resumed.rows] == [
+            f"{EX}a{i}" for i in range(3, 6)
+        ]
+
+    def test_refused_on_the_decode_path_too(self):
+        """A second server holds no live plan for the token: the check
+        runs against the text inside the decoded envelope."""
+        from repro.sparql import MalformedTokenError
+
+        graph = _two_class_graph()
+        first = _wire_door(graph).query(OVER_A, page_size=3)
+        with pytest.raises(MalformedTokenError):
+            _wire_door(graph).query(
+                OVER_B, page_size=3, continuation=first.continuation
+            )
+
+    @pytest.mark.parametrize(
+        "text", [OVER_A, OVER_A.replace(" ", "\n  "), None]
+    )
+    def test_own_text_any_whitespace_or_none_resumes(self, text):
+        endpoint = _local_door(_two_class_graph())
+        first = endpoint.query(OVER_A, page_size=3)
+        resumed = endpoint.query(
+            text, page_size=3, continuation=first.continuation
+        )
+        assert [row["s"].value for row in resumed.rows] == [
+            f"{EX}a{i}" for i in range(3, 6)
+        ]
+
+
+class TestOneWireRequestIsAccountedOnce:
+    """The server answers through a ``LocalEndpoint``; the request must
+    still be observed, logged and billed exactly once — by the client,
+    under ``source="virtuoso"``."""
+
+    def _measure(self, remote, clock, **request):
+        from repro.endpoint import TransientWireError
+        from repro.obs.metrics import REGISTRY
+
+        def observed():
+            return {
+                labels["source"]: value
+                for name, labels, value in REGISTRY.get(
+                    "repro_endpoint_queries_total"
+                ).samples()
+            }
+
+        before, logged, started = observed(), len(remote.query_log), clock.now_ms
+        try:
+            outcome = remote.query(**request)
+        except (SparqlError, TransientWireError) as error:
+            outcome = error
+        after = observed()
+        moved = {
+            source: after[source] - before.get(source, 0)
+            for source in after
+            if after[source] != before.get(source, 0)
+        }
+        return outcome, moved, len(remote.query_log) - logged, clock.now_ms - started
+
+    @pytest.mark.parametrize(
+        "request_kwargs, complete",
+        [
+            ({"query_text": ALL_TRIPLES}, True),
+            ({"query_text": ALL_TRIPLES, "page_size": 5}, False),
+        ],
+    )
+    def test_an_answer(self, philosophy_graph, clock, request_kwargs, complete):
+        remote = RemoteEndpoint(SimulatedVirtuosoServer(philosophy_graph, clock=clock))
+        response, moved, logged, billed = self._measure(
+            remote, clock, **request_kwargs
+        )
+        assert response.complete is complete
+        assert moved == {"virtuoso": 1}
+        assert logged == 1
+        assert billed == pytest.approx(response.elapsed_ms)
+        assert remote.query_log[-1].elapsed_ms == response.elapsed_ms
+
+    def test_a_400(self, philosophy_graph, clock):
+        from repro.sparql import MalformedTokenError
+
+        server = SimulatedVirtuosoServer(philosophy_graph, clock=clock)
+        error, moved, logged, billed = self._measure(
+            RemoteEndpoint(server),
+            clock,
+            query_text=ALL_TRIPLES,
+            page_size=5,
+            continuation="garbage",
+        )
+        assert isinstance(error, MalformedTokenError)
+        assert moved == {} and logged == 0
+        assert billed == pytest.approx(server.cost_model.network_latency_ms)
+
+    def test_an_injected_503(self, philosophy_graph, clock):
+        from repro.endpoint import FaultInjector, TransientWireError
+
+        server = SimulatedVirtuosoServer(
+            philosophy_graph,
+            clock=clock,
+            faults=FaultInjector(transient_rate=1.0, seed=1),
+        )
+        error, moved, logged, billed = self._measure(
+            RemoteEndpoint(server), clock, query_text=ALL_TRIPLES
+        )
+        assert isinstance(error, TransientWireError)
+        assert moved == {} and logged == 0
+        assert billed == pytest.approx(server.cost_model.network_latency_ms)
+
+    def test_an_injected_slow_response(self, philosophy_graph, clock):
+        from repro.endpoint import FaultInjector
+
+        faults = FaultInjector(slow_rate=1.0, seed=1)
+        server = SimulatedVirtuosoServer(philosophy_graph, clock=clock, faults=faults)
+        plain = RemoteEndpoint(
+            SimulatedVirtuosoServer(philosophy_graph, clock=SimClock())
+        ).query(ALL_TRIPLES)
+        response, moved, logged, billed = self._measure(
+            RemoteEndpoint(server), clock, query_text=ALL_TRIPLES
+        )
+        assert moved == {"virtuoso": 1} and logged == 1
+        assert response.elapsed_ms == pytest.approx(
+            plain.elapsed_ms + faults.slow_penalty_ms
+        )
+        assert billed == pytest.approx(response.elapsed_ms)
+
+
+class TestLivePlanAndDecodePathAgreeOnTheWire:
+    def _pages(self, remotes, page_size=4):
+        """Page ALL_TRIPLES to the end, request ``i`` going to
+        ``remotes[i % len(remotes)]``."""
+        rows, token, turn = [], None, 0
+        while True:
+            response = remotes[turn % len(remotes)].query(
+                ALL_TRIPLES, page_size=page_size, continuation=token
+            )
+            rows.extend(response.rows)
+            turn += 1
+            if response.complete:
+                return rows, turn
+            token = response.continuation
+
+    def test_one_server_continues_live_two_servers_decode(
+        self, philosophy_graph, monkeypatch
+    ):
+        from repro.sparql import executor
+
+        restores = []
+        real = executor.restore_plan
+
+        def counting(factory, graph, blob):
+            restores.append(blob["query"])
+            return real(factory, graph, blob)
+
+        monkeypatch.setattr(executor, "restore_plan", counting)
+        expected = LocalEndpoint(philosophy_graph).select(ALL_TRIPLES).rows
+        page_size = len(expected) // 3 + 1  # three pages
+        one = RemoteEndpoint(SimulatedVirtuosoServer(philosophy_graph))
+        rows, pages = self._pages([one], page_size)
+        assert pages == 3 and restores == []
+        assert rows == expected
+        # Alternating between two stateless servers over the same store:
+        # neither ever holds the live plan, every resume decodes.
+        pair = [
+            RemoteEndpoint(SimulatedVirtuosoServer(philosophy_graph))
+            for _ in range(2)
+        ]
+        rows, pages = self._pages(pair, page_size)
+        assert pages == 3 and len(restores) == 2
+        assert rows == expected
 
 
 #: Budgets that leave a quantum no room to run (ROADMAP item 5: they

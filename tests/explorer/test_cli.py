@@ -291,7 +291,8 @@ class TestMetrics:
         assert code == 0
         assert 'repro_router_queries_total{route="decomposer"} 1' in out
         assert 'repro_router_queries_total{route="hvs"} 1' in out
-        assert 'repro_router_queries_total{route="backend"} 1' in out
+        # The chart once, and the ORDER BY … LIMIT query no rung answers.
+        assert 'repro_router_queries_total{route="backend"} 2' in out
         assert 'repro_hvs_lookups_total{outcome="hit"} 1' in out
         assert 'repro_virtuoso_requests_total{status="ok"} 1' in out
         assert 'repro_incremental_windows_total{mode="local"} 2' in out

@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.datasets.dbpedia import OWL_THING
 from repro.endpoint import LocalEndpoint
-from repro.perf import Decomposer, ElindaEndpoint, HeavyQueryStore, SpecializedIndexes
+from repro.perf import Decomposer, ElindaEndpoint, HeavyQueryStore, MaterializedViews
 from repro.rdf import DBO
 
 
@@ -96,7 +96,7 @@ class TestStoreConfigurationsAgree:
         routed = ElindaEndpoint(
             LocalEndpoint(dbpedia_graph),
             hvs=HeavyQueryStore(threshold_ms=0.001),
-            decomposer=Decomposer(SpecializedIndexes(dbpedia_graph)),
+            decomposer=Decomposer(MaterializedViews(dbpedia_graph, track=False)),
         )
         accelerated = ChartEngine(routed, OWL_THING)
 

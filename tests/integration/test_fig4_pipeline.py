@@ -16,7 +16,7 @@ from repro.endpoint import (
     SimClock,
     SimulatedVirtuosoServer,
 )
-from repro.perf import Decomposer, HeavyQueryStore, SpecializedIndexes
+from repro.perf import Decomposer, HeavyQueryStore, MaterializedViews
 
 Q_OUT = property_chart_query(MemberPattern.of_type(OWL_THING))
 Q_IN = property_chart_query(MemberPattern.of_type(OWL_THING), Direction.INCOMING)
@@ -30,7 +30,7 @@ def measurements(dbpedia_graph, dbpedia_config):
     remote = RemoteEndpoint(server)
     virtuoso_out = remote.query(Q_OUT)
     virtuoso_in = remote.query(Q_IN)
-    decomposer = Decomposer(SpecializedIndexes(dbpedia_graph), clock=clock)
+    decomposer = Decomposer(MaterializedViews(dbpedia_graph, track=False), clock=clock)
     decomposer_out = decomposer.try_answer(Q_OUT)
     decomposer_in = decomposer.try_answer(Q_IN)
     hvs = HeavyQueryStore(clock=clock)

@@ -12,7 +12,7 @@ from repro.perf import (
     HeavyQueryStore,
     IncrementalConfig,
     IncrementalEvaluator,
-    SpecializedIndexes,
+    MaterializedViews,
 )
 from repro.rdf import DBO
 
@@ -124,7 +124,7 @@ class TestRouterToggles:
     ):
         elinda = ElindaEndpoint(
             LocalEndpoint(dbpedia_graph, clock=SimClock()),
-            decomposer=Decomposer(SpecializedIndexes(dbpedia_graph)),
+            decomposer=Decomposer(MaterializedViews(dbpedia_graph, track=False)),
             use_hvs=False,
         )
         rewritten = counter_value(
@@ -168,7 +168,7 @@ class TestRouterToggles:
         elinda = ElindaEndpoint(
             LocalEndpoint(dbpedia_graph, clock=SimClock()),
             hvs=HeavyQueryStore(threshold_ms=0.000001),
-            decomposer=Decomposer(SpecializedIndexes(dbpedia_graph)),
+            decomposer=Decomposer(MaterializedViews(dbpedia_graph, track=False)),
         )
         routes = {
             route: counter_value("repro_router_queries_total", route=route)

@@ -5,7 +5,7 @@ import pytest
 from repro.core import Direction, MemberPattern, property_chart_query
 from repro.datasets.dbpedia import OWL_THING
 from repro.endpoint import LocalEndpoint, SimClock
-from repro.perf import Decomposer, SpecializedIndexes, match_property_expansion
+from repro.perf import Decomposer, MaterializedViews, match_property_expansion
 from repro.rdf import DBO
 
 
@@ -18,7 +18,7 @@ def canon(result):
 
 @pytest.fixture(scope="module")
 def indexes(dbpedia_graph):
-    return SpecializedIndexes(dbpedia_graph)
+    return MaterializedViews(dbpedia_graph, track=False)
 
 
 class TestSpecializedIndexes:
@@ -88,7 +88,7 @@ class TestSpecializedIndexes:
         )
 
     def test_entries_touched_accumulates(self, dbpedia_graph):
-        local = SpecializedIndexes(dbpedia_graph)
+        local = MaterializedViews(dbpedia_graph, track=False)
         assert local.entries_touched == 0
         local.property_expansion([OWL_THING], Direction.OUTGOING)
         assert local.entries_touched > 0

@@ -15,7 +15,7 @@ from repro.perf import (
     Decomposer,
     ElindaEndpoint,
     HeavyQueryStore,
-    SpecializedIndexes,
+    MaterializedViews,
 )
 
 HEAVY = property_chart_query(MemberPattern.of_type(OWL_THING))
@@ -29,7 +29,7 @@ def stack(dbpedia_graph, dbpedia_config, clock):
     server = SimulatedVirtuosoServer(dbpedia_graph, clock=clock, cost_model=profile)
     backend = RemoteEndpoint(server)
     hvs = HeavyQueryStore(clock=clock)
-    decomposer = Decomposer(SpecializedIndexes(dbpedia_graph), clock=clock)
+    decomposer = Decomposer(MaterializedViews(dbpedia_graph, track=False), clock=clock)
     return ElindaEndpoint(backend, hvs=hvs, decomposer=decomposer)
 
 
@@ -101,7 +101,7 @@ class TestInvalidation:
     def test_stale_indexes_bypass_decomposer(self, dbpedia_graph, clock):
         graph = dbpedia_graph.copy()
         backend = LocalEndpoint(graph, clock=clock)
-        decomposer = Decomposer(SpecializedIndexes(graph), clock=clock)
+        decomposer = Decomposer(MaterializedViews(graph, track=False), clock=clock)
         stack = ElindaEndpoint(backend, decomposer=decomposer)
         assert stack.query(HEAVY).source == "decomposer"
         from repro.rdf import URI
@@ -229,3 +229,95 @@ class TestLatencyShape:
         decomposer_ms = stack.query(HEAVY).elapsed_ms
         assert virtuoso_ms > 50 * decomposer_ms
         assert decomposer_ms > 5 * hvs_ms
+
+
+class TestTheDoor:
+    """The router compiles a routed text once — through its backend's
+    plan cache — and hands the rungs that plan's AST.  No rung keeps a
+    cache handle, so nothing can store an unoptimized entry under the
+    key the backend executes from."""
+
+    @pytest.fixture()
+    def connected(self, philosophy_graph):
+        from repro.explorer import SettingsForm, connect
+
+        graph = philosophy_graph.copy()
+        settings = SettingsForm()
+        server = SimulatedVirtuosoServer(graph, url=settings.endpoint_url)
+        return connect(settings, {settings.endpoint_url: server}), graph
+
+    #: Shapes no rung answers: a VALUES-restricted property chart (the
+    #: matchers accept pure rdf:type member patterns only) and a
+    #: data-table top-k.
+    @pytest.fixture()
+    def unanswerable(self, philosophy_graph):
+        from repro.rdf import DBO
+
+        members = sorted(
+            MaterializedViews(philosophy_graph, track=False).instances(
+                DBO.term("Philosopher")
+            ),
+            key=lambda uri: uri.value,
+        )[:3]
+        return [
+            property_chart_query(
+                MemberPattern.of_values(members), Direction.OUTGOING
+            ),
+            "PREFIX dbo: <http://dbpedia.org/ontology/>\n"
+            "SELECT ?s ?o WHERE { ?s a dbo:Philosopher . "
+            "?s dbo:influencedBy ?o } ORDER BY ?s ?o LIMIT 4",
+        ]
+
+    def test_routed_backend_queries_run_optimized_plans(
+        self, connected, unanswerable
+    ):
+        from repro.obs.metrics import REGISTRY
+
+        elinda, graph = connected
+        optimizer_runs = REGISTRY.get("repro_optimizer_runs_total")
+        for text in unanswerable:
+            runs = optimizer_runs.value
+            response = elinda.query(text)
+            assert response.source == "local"
+            assert optimizer_runs.value == runs + 1
+            entry = elinda.backend.plan_cache.get(text, graph=graph)
+            assert entry.stats_version == graph.version
+            assert entry.algebra is not entry.raw_algebra
+            assert response.result.rows == LocalEndpoint(graph).query(text).result.rows
+
+    def test_one_parse_per_text_per_graph_version(
+        self, connected, unanswerable, monkeypatch
+    ):
+        from repro.perf import plancache, views
+        from repro.rdf import URI
+
+        parsed = []
+        real = plancache.parse_query
+        monkeypatch.setattr(
+            plancache, "parse_query", lambda text: parsed.append(text) or real(text)
+        )
+        # The rungs were handed the AST: they never parse for themselves.
+        monkeypatch.setattr(
+            views, "parse_query", lambda text: pytest.fail("a rung re-parsed")
+        )
+        elinda, graph = connected
+        assert elinda.hvs is not None and elinda.views is not None
+        assert elinda.decomposer is not None
+        texts = unanswerable + [HEAVY]
+        for text in texts:
+            elinda.query(text)  # HVS miss → views → decomposer → backend
+        assert parsed == texts
+        for text in texts:
+            elinda.query(text)
+        assert parsed == texts  # the repeat compiles nothing
+        graph.add(URI("http://new"), URI("http://p"), URI("http://o"))
+        for text in texts:
+            elinda.query(text)
+        assert parsed == texts * 2  # one re-plan per text per version
+
+    def test_unparseable_text_reaches_the_backend_error(self, connected):
+        from repro.sparql import SparqlError
+
+        elinda, _graph = connected
+        with pytest.raises(SparqlError):
+            elinda.query("SELECT WHERE {")

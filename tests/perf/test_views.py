@@ -27,7 +27,6 @@ from repro.perf import (
     ElindaEndpoint,
     HeavyQueryStore,
     MaterializedViews,
-    SpecializedIndexes,
     match_member_count,
     match_object_chart,
     match_subclass_chart,
@@ -56,9 +55,7 @@ def copy_graph(graph):
 
 @pytest.fixture()
 def views(dbpedia_graph):
-    built = MaterializedViews(dbpedia_graph, track=False)
-    built.plan_cache = None
-    return built
+    return MaterializedViews(dbpedia_graph, track=False)
 
 
 @pytest.fixture()
@@ -233,7 +230,7 @@ class TestRouterPlacement:
 
     def test_specialized_indexes_remain_build_once(self, philosophy_graph):
         graph = copy_graph(philosophy_graph)
-        indexes = SpecializedIndexes(graph)
+        indexes = MaterializedViews(graph, track=False)
         assert indexes.is_fresh
         graph.add(DBR.term("Hypatia"), RDF_TYPE, DBO.term("Philosopher"))
         assert not indexes.is_fresh
@@ -386,7 +383,7 @@ class TestConnectionTables:
 
 
 class TestLegacyIndexApi:
-    """The SpecializedIndexes surface the decomposer relies on."""
+    """The build-once index surface the decomposer relies on."""
 
     def test_instances_decode(self, philosophy_views):
         assert DBR.term("Plato") in philosophy_views.instances(

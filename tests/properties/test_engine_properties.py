@@ -20,7 +20,7 @@ from repro.perf import (
     HeavyQueryStore,
     IncrementalConfig,
     IncrementalEvaluator,
-    SpecializedIndexes,
+    MaterializedViews,
 )
 from repro.rdf import Graph
 from repro.sparql import evaluate
@@ -70,7 +70,7 @@ class TestEngineAgreesOnRandomGraphs:
         direction = data.draw(
             st.sampled_from([Direction.OUTGOING, Direction.INCOMING])
         )
-        indexes = SpecializedIndexes(graph)
+        indexes = MaterializedViews(graph, track=False)
         rows = indexes.property_expansion([cls], direction)
         reference = property_expansion(
             graph, root_bar(graph, cls), direction

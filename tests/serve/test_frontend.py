@@ -17,7 +17,7 @@ from repro.perf import (
     Decomposer,
     ElindaEndpoint,
     HeavyQueryStore,
-    SpecializedIndexes,
+    MaterializedViews,
 )
 from repro.serve import (
     BackoffPolicy,
@@ -61,7 +61,7 @@ def make_stack(
     elinda = ElindaEndpoint(
         RemoteEndpoint(server),
         hvs=HeavyQueryStore(threshold_ms=hvs_threshold_ms, clock=clock),
-        decomposer=Decomposer(SpecializedIndexes(graph), clock=clock),
+        decomposer=Decomposer(MaterializedViews(graph, track=False), clock=clock),
         breaker=CircuitBreaker(
             clock=clock, failure_threshold=5, recovery_ms=500.0
         ),
@@ -279,3 +279,25 @@ class TestFallbackLadder:
         # short-circuited (some may have probed through half-open).
         assert breaker._consecutive_failures >= 0
         assert server.faults.injected_transient < 7  # short-circuits saved requests
+
+    def test_rungs_answer_past_an_open_breaker_without_a_planner(
+        self, dbpedia_graph, clock
+    ):
+        """The wire client has no ``plan()``: the router hands the rungs
+        no AST, they parse for themselves, and the ladder still answers
+        every chart it can while the breaker refuses the backend."""
+        from repro.serve import CircuitOpenError
+
+        frontend, _server = make_stack(dbpedia_graph, clock)
+        elinda = frontend.endpoint
+        assert not hasattr(elinda.backend, "plan")
+        for _ in range(5):
+            elinda.breaker.record_failure()
+        elinda.breaker.recovery_ms = float("inf")  # rung answers bill the clock
+        assert elinda.breaker.state == "open"
+        assert elinda.query(CHART).source == "decomposer"
+        elinda.views = MaterializedViews(dbpedia_graph, clock=clock)
+        assert elinda.query(CHART).source == "views"
+        with pytest.raises(CircuitOpenError):
+            elinda.query(SMALL)
+        assert elinda.backend.query_log == []

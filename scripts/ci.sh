@@ -4,11 +4,15 @@
 #      accounting read off the physical operators' own counters against
 #      the endpoint's answer — the same engine, explained vs served —
 #      TopK fusion, plan-cache hit/invalidation, and the HVS/decomposer
-#      counters moving when toggled);
+#      counters moving when toggled), then the order property in the
+#      physical EXPLAIN of the Fig. 4 chart: the inner aggregation is
+#      released per ?s ?p (the scans' sorted order reaches it), the
+#      outer one at the end of its input;
 #   2. the time-sliced executor smoke test (paged ≡ unpaged on the one
 #      engine: the same plan run under a row budget and with none, token
 #      hygiene — a suspended query resumed across a graph mutation is
-#      invalidated, never silently wrong — round-robin fairness, and
+#      invalidated, never silently wrong — the Fig. 4 chart suspended
+#      after every operator step (quantum_ms=1e-9), round-robin fairness, and
 #      the encoded-store smoke: load → query → page → decode, with the
 #      dictionary round-trip and byte-identical paged SPARQL-JSON),
 #      plus the property-path paging smoke (a subClassOf* closure must
@@ -48,6 +52,15 @@ export PYTHONPATH=src
 
 echo "== repro explain --self-test =="
 python -m repro explain --self-test
+
+echo
+echo "== order-aware aggregation in the physical EXPLAIN =="
+chart_plan="$(python -m repro explain --physical --chart owl:Thing)"
+grep -q 'Aggregation (group by ?s ?p, released per ?s ?p)' <<< "$chart_plan" \
+  || { echo "FAIL: the chart's inner aggregation is not released per ?s ?p"; exit 1; }
+grep -q 'Aggregation (group by ?p, released at end)' <<< "$chart_plan" \
+  || { echo "FAIL: the chart's outer aggregation claims an order it cannot have"; exit 1; }
+echo "ok: inner GROUP BY ?s ?p released per partition, outer GROUP BY ?p at end"
 
 echo
 echo "== repro query --self-test =="

@@ -338,19 +338,22 @@ def _executor_self_test(args) -> int:
     # 1. Paged execution returns exactly the one-shot answer.
     one_shot_result = endpoint.select(query)
     one_shot = one_shot_result.rows
-    paged: List[dict] = []
-    pages = 0
+    def run_paged(text: str, **budget):
+        rows: List[dict] = []
+        pages = 0
+        response = endpoint.query(text, **budget)
+        while True:
+            pages += 1
+            rows.extend(response.result.rows)
+            if response.complete:
+                return rows, pages
+            response = endpoint.query(
+                text, continuation=response.continuation, **budget
+            )
+
     before_susp = counter("repro_exec_suspensions_total", reason="row_budget")
     before_resumes = counter("repro_exec_resumes_total")
-    response = endpoint.query(query, page_size=64)
-    while True:
-        pages += 1
-        paged.extend(response.result.rows)
-        if response.complete:
-            break
-        response = endpoint.query(
-            query, page_size=64, continuation=response.continuation
-        )
+    paged, pages = run_paged(query, page_size=64)
     check(
         multiset(paged) == multiset(one_shot),
         f"paged multiset equals one-shot ({len(paged)} rows, {pages} pages)",
@@ -364,6 +367,21 @@ def _executor_self_test(args) -> int:
     check(
         counter("repro_exec_resumes_total") > before_resumes,
         "token resume counter moved",
+    )
+
+    # The heavy chart (Fig. 4) under a deadline that is past after one
+    # operator step: a token at every block of the order-aware
+    # aggregation, and still the one-shot rows in the one-shot order.
+    from .core import MemberPattern, property_chart_query
+
+    chart = property_chart_query(
+        MemberPattern.of_type(session.settings.root_class), Direction.OUTGOING
+    )
+    stepped, quanta = run_paged(chart, quantum_ms=1e-9)
+    check(
+        stepped == endpoint.select(chart).rows and quanta > 10,
+        f"Fig. 4 chart in one-step quanta equals one-shot, in order "
+        f"({len(stepped)} rows, {quanta} quanta)",
     )
 
     # 2. Token hygiene: malformed, cross-query, and expired tokens all
@@ -1054,7 +1072,7 @@ def _prologue() -> str:
 
 
 def _cmd_explain(args) -> int:
-    """EXPLAIN / EXPLAIN ANALYZE a query's algebra plan."""
+    """EXPLAIN / EXPLAIN ANALYZE a query's algebra (or physical) plan."""
     if args.self_test:
         return _explain_self_test(args)
     from .obs import explain
@@ -1078,9 +1096,14 @@ def _cmd_explain(args) -> int:
         )
         return 2
     try:
-        explained = explain(
-            graph, query_text, analyze=args.analyze, optimize=args.optimize
-        )
+        if args.physical:
+            from .obs import explain_physical
+
+            explained = explain_physical(graph, query_text, analyze=args.analyze)
+        else:
+            explained = explain(
+                graph, query_text, analyze=args.analyze, optimize=args.optimize
+            )
     except SparqlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1833,6 +1856,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the algebra optimizer and show the plan before and "
         "after, with per-pass annotations",
+    )
+    explain.add_argument(
+        "--physical",
+        action="store_true",
+        help="show the optimized physical operator tree the executor runs "
+        "(scan chains, and what each aggregation is released per) "
+        "instead of the algebra plan",
     )
     explain.add_argument(
         "--json", action="store_true", help="emit the plan (and spans) as JSON"

@@ -6,7 +6,7 @@ and finite RDF graphs with pattern-matching access.
 """
 
 from .dictionary import KIND_STRIDE, TermDictionary, kind_name, kind_of_id
-from .graph import Graph
+from .graph import SCAN_ORDER, Graph
 from .namespace import Namespace, NamespaceManager
 from .stats import GraphStatistics, statistics_for
 from .ntriples import (
@@ -58,6 +58,7 @@ __all__ = [
     "Triple",
     "TriplePattern",
     "Graph",
+    "SCAN_ORDER",
     "TermDictionary",
     "KIND_STRIDE",
     "kind_of_id",

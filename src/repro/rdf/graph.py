@@ -42,7 +42,23 @@ from .dictionary import KIND_STRIDE, TermDictionary
 from .terms import Literal, RDFObject, Subject, URI
 from .triple import Triple, TriplePattern
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "SCAN_ORDER"]
+
+#: The sorted-scan contract of ``triples_ids``, as data: per pattern
+#: shape ``(s bound, p bound, o bound)``, the open positions, most
+#: significant first.  One call's matches are strictly increasing in
+#: them, on this store and on ``SnapshotGraph`` alike; the physical
+#: planner derives ``PhysicalOperator.clustered_on`` from this table.
+SCAN_ORDER: Dict[Tuple[bool, bool, bool], Tuple[int, ...]] = {
+    (True, False, False): (1, 2),
+    (False, True, False): (2, 0),
+    (False, False, True): (0, 1),
+    (True, True, False): (2,),
+    (True, False, True): (1,),
+    (False, True, True): (0,),
+    (False, False, False): (0, 1, 2),
+    (True, True, True): (),
+}
 
 _INDEX_LOOKUPS_TOTAL = REGISTRY.counter(
     "repro_graph_index_lookups_total",
@@ -423,9 +439,10 @@ class Graph:
 
         Iteration order is **sorted ID order in every position** —
         outer dict levels are walked in sorted-key order and the leaf
-        lists are kept sorted — so two stores holding the same triples
-        enumerate any pattern identically regardless of insertion
-        order.  This is the canonical order the mmap'd snapshot store
+        lists are kept sorted; :data:`SCAN_ORDER` says which position
+        leads for each pattern shape — so two stores holding the same
+        triples enumerate any pattern identically regardless of
+        insertion order.  This is the canonical order the mmap'd snapshot store
         (:mod:`repro.rdf.snapshot`) answers with via binary search, and
         what makes snapshot execution row-and-order equivalent to the
         in-memory store by construction.

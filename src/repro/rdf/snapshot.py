@@ -1051,7 +1051,8 @@ class SnapshotGraph:
 
         Branch selection and iteration order are identical to the
         in-memory :meth:`Graph.triples_ids` (sorted ID order in every
-        position), including the index-lookup metric accounting.
+        position — the one :data:`repro.rdf.graph.SCAN_ORDER` table holds
+        for both stores), including the index-lookup metric accounting.
         """
         if s is not None:
             (_LOOKUP_OSP if (p is None and o is not None) else _LOOKUP_SPO).inc()

@@ -9,6 +9,7 @@ spec (FILTER -> false, aggregates -> skip).
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Callable, Dict, List, Optional, Sequence, Union
 from urllib.parse import quote
@@ -75,9 +76,11 @@ def _numeric_literal(value: Union[int, float]) -> Literal:
         return _bool_literal(value)
     if isinstance(value, int):
         return Literal(str(value), datatype=XSD_INTEGER)
-    if value == int(value) and abs(value) < 1e15:
-        # Preserve decimal look for whole floats.
-        return Literal(repr(value), datatype=XSD_DOUBLE)
+    # xsd:double spells these NaN / INF / -INF, not repr's nan / inf.
+    if math.isnan(value):
+        return Literal("NaN", datatype=XSD_DOUBLE)
+    if math.isinf(value):
+        return Literal("INF" if value > 0 else "-INF", datatype=XSD_DOUBLE)
     return Literal(repr(value), datatype=XSD_DOUBLE)
 
 
@@ -237,23 +240,20 @@ def _fn_abs(args: Sequence[Term]) -> Term:
     return _numeric_literal(abs(_numeric_value(args[0])))
 
 
-def _fn_ceil(args: Sequence[Term]) -> Term:
-    import math
+def _rounding(rounding: Callable[[float], float]):
+    def function(args: Sequence[Term]) -> Term:
+        value = _numeric_value(args[0])
+        # NaN and the infinities round to themselves (int() would raise).
+        return _numeric_literal(
+            int(rounding(value)) if math.isfinite(value) else value
+        )
 
-    return _numeric_literal(int(math.ceil(_numeric_value(args[0]))))
+    return function
 
 
-def _fn_floor(args: Sequence[Term]) -> Term:
-    import math
-
-    return _numeric_literal(int(math.floor(_numeric_value(args[0]))))
-
-
-def _fn_round(args: Sequence[Term]) -> Term:
-    value = _numeric_value(args[0])
-    import math
-
-    return _numeric_literal(int(math.floor(value + 0.5)))
+_fn_ceil = _rounding(math.ceil)
+_fn_floor = _rounding(math.floor)
+_fn_round = _rounding(lambda value: math.floor(value + 0.5))
 
 
 def _fn_concat(args: Sequence[Term]) -> Term:

@@ -47,11 +47,21 @@ planner mounts at the plan root, which decodes each result row exactly
 once.  The chart shape itself never crosses: the pattern scan extends a
 slice of candidate ID triples with one comprehension, and
 :class:`AggregationOp` folds ``COUNT(*)`` / ``COUNT(?v)`` / ``SUM(?v)``
-/ ``AVG(?v)`` over plain-variable keys on IDs alone (per-execution
-``id -> number`` and ``count -> id`` memos).  Scan-offset continuation
+/ ``AVG(?v)`` over plain-variable keys on IDs alone (one flat counter
+list per group; per-execution ``id -> number`` and ``count -> id``
+memos).  Scan-offset continuation
 state therefore lives in ID space; IDs are stable for the lifetime of
 the store, and the executor's graph-``version`` check already rejects
 tokens whose triples changed.
+
+**Order property.**  :meth:`PhysicalOperator.clustered_on` carries the
+stores' sorted-scan contract (:data:`repro.rdf.graph.SCAN_ORDER`) up the
+tree as the variables an output is *keyed and sorted by*:
+:class:`SingletonOp` says ``()``, a :class:`PatternScanOp` over a keyed
+child appends its open variables in scan order, everything else claims
+nothing.  :class:`AggregationOp` releases a group when the partition it
+belongs to — the leading group keys of that claim — has ended; an
+unordered input is the one partition that ends with the input.
 
 Layout: :mod:`.base` defines the operator protocol and the ID/term
 boundary helpers, :mod:`.scan` the leaves (singleton, VALUES, pattern

@@ -4,7 +4,10 @@ bounded-heap top-k that backs fused ORDER BY ... LIMIT."""
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from itertools import chain
+from operator import itemgetter
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import ExpressionError
 from ..functions import (
@@ -21,6 +24,7 @@ from ...rdf.terms import Literal, Term
 from .base import (
     BLOCK,
     PhysicalOperator,
+    PlanStateError,
     _UnaryOp,
     _decode_opt_term,
     _decode_row,
@@ -165,25 +169,34 @@ class _StreamingAgg:
 class AggregationOp(PhysicalOperator):
     """GROUP BY + aggregate projection (fused, like the algebra node).
 
-    Builds groups incrementally (one child block per call), then emits
-    a block of group output rows per call, releasing each group's state
-    as it is emitted.
+    One loop: absorb a child block into the open groups, emit a block of
+    complete groups, releasing each group's state as it is emitted.  A
+    group is complete when its *partition* — the longest prefix of
+    ``child.clustered_on()`` made only of plain-variable group keys —
+    has ended: members of one partition value arrive as one contiguous
+    run, so when another value shows up every group opened so far is
+    emitted, in first-seen order, before more input is pulled.  A child
+    that claims no order gives the one partition that ends with the
+    input: the classic blocking aggregation is the same loop.
 
     When every projected aggregate is decomposable (non-DISTINCT COUNT,
     SUM, AVG, MIN, MAX, SAMPLE, GROUP_CONCAT) and there is no HAVING,
     members are folded into O(1) accumulators per group as they arrive
-    — suspension then serialises accumulators, keys, and key bindings,
-    keeping continuation tokens O(groups) instead of O(input).  DISTINCT
-    aggregates and HAVING fall back to buffering member rows verbatim,
-    so the aggregates computed after resume see exactly the members
-    collected before suspension.
+    — suspension then serialises the keys and accumulators of the
+    pending groups only, so a continuation token holds one partition
+    plus a block of groups under an ordered child and O(groups)
+    otherwise, never O(input).  DISTINCT aggregates and HAVING fall
+    back to buffering member rows verbatim, so the aggregates computed
+    after resume see exactly the members collected before suspension.
 
     The streaming fold itself has an ID-space kernel (:meth:`_fold_ids`)
     for the chart shape — keys that are plain variables, aggregates that
     are ``COUNT(*)``, ``COUNT(?v)``, ``SUM(?v)`` or ``AVG(?v)`` — which
-    never decodes a member row; anything else takes the generic
-    per-member fold (:meth:`_absorb`).  Both produce the same
-    accumulators, so the saved state does not say which one ran.
+    never decodes a member row and keeps a group as one flat list,
+    ``count, total, bad`` per projection; anything else takes the
+    generic per-member fold (:meth:`_absorb`) over
+    :class:`_StreamingAgg` objects.  Both save the same accumulator
+    dicts, so the saved state does not say which one ran.
     """
 
     label = "Aggregation"
@@ -208,6 +221,7 @@ class AggregationOp(PhysicalOperator):
             for projection in self.projections
         )
         self._id_fold = self._plan_id_fold()
+        self._id_emit = self._plan_id_emit()
         self._out_names = [
             projection.var.name for projection in self.projections
         ]
@@ -216,16 +230,29 @@ class AggregationOp(PhysicalOperator):
         # through them without a Literal or a dictionary round trip.
         self._numbers = _execution_memo(runtime, "_id_numbers")
         self._count_ids = _execution_memo(runtime, "_count_ids")
+        #: Positions, in a group key, of the partition variables.
+        self._partition_at = self._plan_partition()
+        self._partition_of = (
+            itemgetter(*self._partition_at)
+            if self._partition_at
+            else lambda group_key: ()
+        )
+        self._partition = None  # partition value of the open groups
+        # "build" until the input has ended and its last partition is
+        # released; saved and loaded, so tokens keep their shape.
         self._phase = "build"
-        self._group_keys: List[Optional[Tuple]] = []
-        # group key -> member rows (buffering) or accumulators (streaming)
+        # Open groups of the current partition, in first-seen order: key
+        # -> flat counters (ID fold), accumulators (generic fold) or
+        # member rows (buffering).
         self._groups: Dict[Tuple, List] = {}
-        self._key_bindings: Dict[Tuple, Binding] = {}
-        self._emit_index = 0
+        # Complete groups awaiting emission, oldest first.
+        self._ready: Deque[Tuple[Tuple, List]] = deque()
+        self._emitted = 0
 
     def _plan_id_fold(self):
-        """``[(accumulator slot, variable or None, is SUM/AVG)]`` when the
-        whole fold can stay in ID space, else ``None``."""
+        """``[(state offset, variable or None, is SUM/AVG)]`` when the
+        whole fold can stay in ID space, else ``None``.  Projection
+        ``i`` owns ``state[3 * i:3 * i + 3]`` — count, total, bad."""
         from ..ast import VarExpr
 
         if not self._streaming or any(
@@ -240,20 +267,45 @@ class AggregationOp(PhysicalOperator):
             if agg.name not in ("COUNT", "SUM", "AVG"):
                 return None
             if agg.argument is None:
-                fold.append((slot, None, False))
+                fold.append((3 * slot, None, False))
             elif isinstance(agg.argument, VarExpr):
-                fold.append((slot, agg.argument.var.name, agg.name != "COUNT"))
+                fold.append(
+                    (3 * slot, agg.argument.var.name, agg.name != "COUNT")
+                )
             else:
                 return None
         return fold
 
-    def _new_accs(self) -> List[Optional[_StreamingAgg]]:
-        return [
-            _StreamingAgg(projection.expression)
-            if projection.expression is not None
-            else None
-            for projection in self.projections
-        ]
+    def _plan_id_emit(self):
+        """How the ID fold builds an output row, in projection order:
+        ``(output name, aggregate name or None for a key, offset into
+        the state or position in the key)``."""
+        if self._id_fold is None:
+            return None
+        key_at = {
+            bind_name: position
+            for position, (_, _, bind_name) in enumerate(self._key_specs)
+        }
+        plan = []
+        for slot, projection in enumerate(self.projections):
+            name = projection.var.name
+            if projection.expression is not None:
+                plan.append((name, projection.expression.name, 3 * slot))
+            elif name in key_at:
+                plan.append((name, None, key_at[name]))
+        return plan
+
+    def _plan_partition(self) -> Tuple[int, ...]:
+        key_at: Dict[str, int] = {}
+        for position, (_, var_name, _) in enumerate(self._key_specs):
+            if var_name is not None:
+                key_at.setdefault(var_name, position)
+        positions = []
+        for name in self.child.clustered_on() or ():
+            if name not in key_at:
+                break
+            positions.append(key_at[name])
+        return tuple(positions)
 
     def children(self) -> List[PhysicalOperator]:
         return [self.child]
@@ -263,7 +315,13 @@ class AggregationOp(PhysicalOperator):
         for key in self.keys:
             var = getattr(key, "var", None)
             names.append(f"?{var.name}" if var is not None else "<expr>")
-        return f"group by {' '.join(names)}" if names else "implicit group"
+        text = f"group by {' '.join(names)}" if names else "implicit group"
+        if not self._partition_at:
+            return text + ", released at end"
+        partition = " ".join(
+            f"?{self._key_specs[position][1]}" for position in self._partition_at
+        )
+        return f"{text}, released per {partition}"
 
     def _build_key_specs(self):
         from ..ast import Projection, VarExpr
@@ -281,11 +339,45 @@ class AggregationOp(PhysicalOperator):
             specs.append((expression, var_name, bind_name))
         return specs
 
+    def _key_binding(self, group_key: Tuple) -> Binding:
+        """What a group's key contributes to its output row."""
+        return {
+            bind_name: value
+            for (_, _, bind_name), value in zip(self._key_specs, group_key)
+            if bind_name is not None and value is not None
+        }
+
+    # -- absorbing ------------------------------------------------------
+
+    def _open_group(self, group_key: Tuple) -> List:
+        partition = self._partition_of(group_key)
+        if partition != self._partition:
+            self._release()
+            self._partition = partition
+        if self._id_fold is not None:
+            state = [0, 0, False] * len(self.projections)
+        elif self._streaming:
+            state = [
+                _StreamingAgg(projection.expression)
+                if projection.expression is not None
+                else None
+                for projection in self.projections
+            ]
+        else:
+            state = []
+        self._groups[group_key] = state
+        return state
+
+    def _release(self) -> None:
+        """The open groups have seen their last member."""
+        # In place: _fold_ids holds on to the dict across a release.
+        self._ready.extend(self._groups.items())
+        self._groups.clear()
+
     def _absorb(self, member: Binding) -> None:
         key_values: List[Optional[int]] = []
-        key_binding: Binding = {}
         decoded = None  # member in term space, only if an expression runs
-        for expression, var_name, bind_name in self._key_specs:
+        for expression, var_name, _ in self._key_specs:
             if var_name is not None:
                 value = member.get(var_name)
             else:
@@ -299,27 +391,18 @@ class AggregationOp(PhysicalOperator):
                     value = None
                 value = _encode_value(value, self.runtime)
             key_values.append(value)
-            if bind_name is not None and value is not None:
-                key_binding[bind_name] = value
         group_key = tuple(key_values)
-        if group_key not in self._groups:
-            self._open_group(group_key, key_binding)
+        state = self._groups.get(group_key)
+        if state is None:
+            state = self._open_group(group_key)
         if self._streaming:
             if self._stream_needs_terms and decoded is None:
                 decoded = _decode_row(member, self.runtime)
-            for acc in self._groups[group_key]:
+            for acc in state:
                 if acc is not None:
                     acc.absorb(decoded if decoded is not None else {})
         else:
-            self._groups[group_key].append(member)
-
-    def _open_group(self, group_key: Tuple, key_binding: Binding) -> List:
-        self._group_keys.append(group_key)
-        state = self._groups[group_key] = (
-            self._new_accs() if self._streaming else []
-        )
-        self._key_bindings[group_key] = key_binding
-        return state
+            state.append(member)
 
     def _fold_ids(self, members: List[Binding]) -> None:
         """Fold a block of encoded members without leaving ID space.
@@ -333,37 +416,30 @@ class AggregationOp(PhysicalOperator):
         fold = self._id_fold
         numbers = self._numbers
         key_names = [var_name for _, var_name, _ in self._key_specs]
-        bind_names = [bind_name for _, _, bind_name in self._key_specs]
         for member in members:
             get = member.get
             group_key = tuple(map(get, key_names))
-            accs = groups.get(group_key)
-            if accs is None:
-                # The key binding is built once per group, not per member.
-                accs = self._open_group(group_key, {
-                    bind_name: value
-                    for bind_name, value in zip(bind_names, group_key)
-                    if value is not None
-                })
-            for slot, name, numeric in fold:
-                acc = accs[slot]
+            state = groups.get(group_key)
+            if state is None:
+                state = self._open_group(group_key)
+            for at, name, numeric in fold:
                 if name is None:  # COUNT(*)
-                    acc.count += 1
+                    state[at] += 1
                     continue
                 value = get(name)
                 if value is None:
                     continue
                 if numeric:
-                    if acc.bad:
+                    if state[at + 2]:
                         continue
                     number = numbers.get(value)
                     if number is None:
                         number = self._number_of(value)
                     if number is _NOT_A_NUMBER:
-                        acc.bad = True
+                        state[at + 2] = True
                         continue
-                    acc.total += number
-                acc.count += 1
+                    state[at + 1] += number
+                state[at] += 1
 
     def _number_of(self, value: int):
         """Fill the ``id -> number`` memo for one term ID."""
@@ -383,44 +459,68 @@ class AggregationOp(PhysicalOperator):
             self._numbers[value] = count
         return value
 
+    # -- the loop -------------------------------------------------------
+
     def _next(self, limit: int) -> List[Binding]:
-        if self._phase == "build":
-            if self.child.done:
-                if not self.keys and () not in self._groups:
+        ready = self._ready
+        if not ready and self._phase == "build":
+            # Input is pulled only once every complete group is out.
+            if not self.child.done:
+                members = self.child.next(BLOCK)
+                if self._id_fold is not None:
+                    self._fold_ids(members)
+                else:
+                    for member in members:
+                        self._absorb(member)
+            if self.child.done and not ready:
+                if not (self.keys or self._groups or self._emitted):
                     # Implicit single group: empty input still yields
                     # one group (COUNT(*) = 0).
-                    self._open_group((), {})
+                    self._open_group(())
+                self._release()  # the last partition ends with the input
                 self._phase = "emit"
-                return []
-            members = self.child.next(BLOCK)
-            if self._id_fold is not None:
-                self._fold_ids(members)
-            else:
-                for member in members:
-                    self._absorb(member)
-            return []
-        # emit — each group's state is released as soon as it is emitted,
-        # so suspended tokens shrink as emission proceeds.  A group gives
+        # Each group's state is released as soon as it is emitted, so
+        # suspended tokens shrink as emission proceeds.  A group gives
         # at most one row (HAVING may reject it), so examining no more
         # groups than rows wanted cannot overshoot.
-        start = self._emit_index
-        examined = self._group_keys[start:start + min(limit, BLOCK)]
-        self._group_keys[start:start + len(examined)] = [None] * len(examined)
-        self._emit_index = start + len(examined)
-        groups, key_bindings = self._groups, self._key_bindings
-        make_row = self._streamed_row if self._streaming else self._buffered_row
-        rows = [
-            make_row(key_bindings.pop(group_key), groups.pop(group_key))
-            for group_key in examined
+        examined = [
+            ready.popleft() for _ in range(min(limit, BLOCK, len(ready)))
         ]
-        out = [row for row in rows if row is not None]
+        if self._id_fold is not None:
+            out = [self._id_row(*group) for group in examined]
+        elif self._streaming:
+            out = [self._streamed_row(*group) for group in examined]
+        else:
+            rows = [self._buffered_row(*group) for group in examined]
+            out = [row for row in rows if row is not None]
+        self._emitted += len(examined)
         self.runtime.stats.groups += len(examined)
         self.runtime.stats.intermediate_bindings += len(out)
-        if len(out) < limit and self._emit_index >= len(self._group_keys):
+        if not ready and self._phase == "emit":
             self.done = True
         return out
 
-    def _streamed_row(self, key_binding: Binding, accs: List) -> Binding:
+    def _id_row(self, group_key: Tuple, state: List) -> Binding:
+        """One ID-fold group's output row (:meth:`_StreamingAgg.result`
+        on the flat counters)."""
+        out: Binding = {}
+        for name, aggregate, at in self._id_emit:
+            if aggregate is None:
+                if group_key[at] is not None:
+                    out[name] = group_key[at]
+            elif aggregate == "COUNT":
+                out[name] = self._count_id(state[at])
+            elif not state[at + 2] and (aggregate == "SUM" or state[at]):
+                total = state[at + 1]
+                out[name] = self.runtime.dictionary.encode(
+                    _numeric_literal(
+                        total if aggregate == "SUM" else total / state[at]
+                    )
+                )
+        return out
+
+    def _streamed_row(self, group_key: Tuple, accs: List) -> Binding:
+        key_binding = self._key_binding(group_key)
         out: Binding = {}
         for name, acc in zip(self._out_names, accs):
             if acc is None:
@@ -439,10 +539,11 @@ class AggregationOp(PhysicalOperator):
         return out
 
     def _buffered_row(
-        self, key_binding: Binding, members: List[Binding]
+        self, group_key: Tuple, members: List[Binding]
     ) -> Optional[Binding]:
         """One buffered group's output row, or ``None`` if HAVING drops it."""
         runtime = self.runtime
+        key_binding = self._key_binding(group_key)
         # HAVING and the aggregate expressions run in term space:
         # decode the group once, emit back in ID space.
         key_terms = _decode_row(key_binding, runtime)
@@ -477,81 +578,102 @@ class AggregationOp(PhysicalOperator):
                 out[projection.var.name] = _encode_value(value, runtime)
         return out
 
+    # -- suspension -----------------------------------------------------
+
     def _save(self) -> Dict:
         pending = []
-        for group_key in self._group_keys[self._emit_index:]:
+        for group_key, state in chain(self._ready, self._groups.items()):
             blob = {
                 "key": [
                     _encode_opt_term(value, self.runtime)
                     for value in group_key
                 ],
                 "binding": encode_binding(
-                    self._key_bindings[group_key], self.runtime
+                    self._key_binding(group_key), self.runtime
                 ),
             }
-            if self._streaming:
+            if self._id_fold is not None:
                 blob["accs"] = [
-                    None if acc is None else acc.save()
-                    for acc in self._groups[group_key]
+                    None
+                    if projection.expression is None
+                    else {
+                        "count": state[3 * slot],
+                        "total": state[3 * slot + 1],
+                        "best": None,
+                        "parts": None,
+                        "bad": state[3 * slot + 2],
+                    }
+                    for slot, projection in enumerate(self.projections)
+                ]
+            elif self._streaming:
+                blob["accs"] = [
+                    None if acc is None else acc.save() for acc in state
                 ]
             else:
                 blob["members"] = [
-                    encode_binding(member, self.runtime)
-                    for member in self._groups[group_key]
+                    encode_binding(member, self.runtime) for member in state
                 ]
             pending.append(blob)
         return {
             "phase": self._phase,
             "child": self.child.save(),
-            "emitted": self._emit_index,
+            "emitted": self._emitted,
             "groups": pending,
         }
 
     def _load(self, state: Dict) -> None:
         self.child.load(state["child"])
         self._phase = state.get("phase", "build")
-        emitted = int(state.get("emitted", 0))
-        self._emit_index = emitted
-        self._group_keys = [None] * emitted
+        self._emitted = int(state.get("emitted", 0))
+        pending = [self._load_group(blob) for blob in state.get("groups", ())]
+        self._ready = deque()
         self._groups = {}
-        self._key_bindings = {}
-        for blob in state.get("groups", ()):
-            group_key = tuple(
-                _decode_opt_term(value, self.runtime)
-                for value in blob["key"]
-            )
-            self._group_keys.append(group_key)
-            self._key_bindings[group_key] = decode_binding(
-                blob["binding"], self.runtime
-            )
-            if "accs" in blob:
-                accs = self._new_accs()
-                for acc, acc_state in zip(accs, blob["accs"]):
-                    if acc is not None and acc_state is not None:
-                        acc.load(acc_state)
-                self._groups[group_key] = accs
+        self._partition = None
+        # Which pending groups are still open is not saved: while input
+        # remains, those of the newest group's partition (so a blocking
+        # engine's token releases all but its last partition at once).
+        building = self._phase == "build"
+        if pending and building:
+            self._partition = self._partition_of(pending[-1][0])
+        for group_key, group in pending:
+            if building and self._partition_of(group_key) == self._partition:
+                self._groups[group_key] = group
             else:
-                # Token from the buffering path: replay its member rows
-                # through the fold if this plan streams (same result —
-                # the fold is order-preserving and batch-exact).
-                members = [
-                    decode_binding(member, self.runtime)
-                    for member in blob["members"]
+                self._ready.append((group_key, group))
+
+    def _load_group(self, blob: Dict) -> Tuple[Tuple, List]:
+        group_key = tuple(
+            _decode_opt_term(value, self.runtime) for value in blob["key"]
+        )
+        if len(group_key) != len(self._key_specs):
+            raise PlanStateError("saved group key does not fit the GROUP BY")
+        if not self._streaming:
+            return group_key, [
+                decode_binding(member, self.runtime)
+                for member in blob["members"]
+            ]
+        saved = blob["accs"]
+        if len(saved) != len(self.projections):
+            raise PlanStateError("saved accumulators do not fit the SELECT")
+        if self._id_fold is not None:
+            group: List = []
+            for acc_state in saved:
+                acc_state = acc_state or {}
+                group += [
+                    int(acc_state.get("count", 0)),
+                    acc_state.get("total", 0),
+                    bool(acc_state.get("bad", False)),
                 ]
-                if self._streaming:
-                    accs = self._new_accs()
-                    for member in members:
-                        decoded = (
-                            _decode_row(member, self.runtime)
-                            if self._stream_needs_terms
-                            else {}
-                        )
-                        for acc in accs:
-                            if acc is not None:
-                                acc.absorb(decoded)
-                    self._groups[group_key] = accs
-                else:
-                    self._groups[group_key] = members
+            return group_key, group
+        group = []
+        for projection, acc_state in zip(self.projections, saved):
+            acc = None
+            if projection.expression is not None:
+                acc = _StreamingAgg(projection.expression)
+                if acc_state is not None:
+                    acc.load(acc_state)
+            group.append(acc)
+        return group_key, group
 
 
 class _Reversed:
@@ -620,6 +742,19 @@ def _order_key(conditions, binding: Binding, runtime) -> List:
     return keys
 
 
+def _pending_blobs(op, ordered: List[Binding]) -> List:
+    """Token blobs of the rows a finished sort has still to emit:
+    encoded once, at the first save, and sliced on every later page.
+    The cache lives on the operator and is never serialised."""
+    if op._encoded is None:
+        op._encoded = (
+            op._emit_index,
+            [encode_binding(row, op.runtime) for row in ordered[op._emit_index:]],
+        )
+    first, blobs = op._encoded
+    return blobs[op._emit_index - first:]
+
+
 class OrderByOp(_UnaryOp):
     """Full sort: drains its child a block per call, then emits slices."""
 
@@ -631,6 +766,7 @@ class OrderByOp(_UnaryOp):
         self._phase = "build"
         self._buffer: List[Binding] = []
         self._emit_index = 0
+        self._encoded = None  # see _pending_blobs
 
     def detail(self) -> str:
         return f"{len(self.conditions)} keys"
@@ -661,10 +797,11 @@ class OrderByOp(_UnaryOp):
             "phase": self._phase,
             "child": self.child.save(),
             "emitted": self._emit_index,
-            "buffer": [
-                encode_binding(row, self.runtime)
-                for row in self._buffer[self._emit_index:]
-            ],
+            "buffer": (
+                _pending_blobs(self, self._buffer)
+                if self._phase == "emit"
+                else [encode_binding(row, self.runtime) for row in self._buffer]
+            ),
         }
 
     def _load(self, state: Dict) -> None:
@@ -675,6 +812,7 @@ class OrderByOp(_UnaryOp):
         # lazily only in the build phase).
         emitted = int(state.get("emitted", 0))
         self._emit_index = emitted
+        self._encoded = None
         self._buffer = [None] * emitted + [
             decode_binding(blob, self.runtime)
             for blob in state.get("buffer", ())
@@ -701,6 +839,7 @@ class TopKOp(_UnaryOp):
         self._serial = 0
         self._ordered: List[Binding] = []
         self._emit_index = 0
+        self._encoded = None  # see _pending_blobs
 
     def detail(self) -> str:
         text = f"{len(self.conditions)} keys, limit {self.limit}"
@@ -751,10 +890,11 @@ class TopKOp(_UnaryOp):
                 for entry in self._heap
             ],
             "emitted": self._emit_index,
-            "ordered": [
-                encode_binding(row, self.runtime)
-                for row in self._ordered[self._emit_index:]
-            ],
+            "ordered": (
+                _pending_blobs(self, self._ordered)
+                if self._phase == "emit"
+                else []
+            ),
         }
 
     def _load(self, state: Dict) -> None:
@@ -769,6 +909,7 @@ class TopKOp(_UnaryOp):
         heapq.heapify(self._heap)
         emitted = int(state.get("emitted", 0))
         self._emit_index = emitted
+        self._encoded = None
         self._ordered = [None] * emitted + [
             decode_binding(blob, self.runtime)
             for blob in state.get("ordered", ())

@@ -12,7 +12,7 @@ docstring (:mod:`repro.sparql.physical`) for the full design notes.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ...obs.metrics import REGISTRY
 from ...rdf.terms import Term
@@ -225,6 +225,16 @@ class PhysicalOperator:
 
     def detail(self) -> str:
         return ""
+
+    def clustered_on(self) -> Optional[Tuple[str, ...]]:
+        """The variables the output is *keyed and sorted by*, or ``None``.
+
+        A tuple claims that every row binds exactly these variables, no
+        two rows agree on all of them, and rows arrive in increasing ID
+        order of the tuple, first variable most significant.  ``None``
+        claims nothing, which is always safe.
+        """
+        return None
 
     def walk(self) -> Iterator["PhysicalOperator"]:
         yield self

@@ -4,8 +4,9 @@ nested-loop pattern scan that anchors every BGP."""
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from ...rdf.graph import SCAN_ORDER
 from ..ast import TriplePatternNode, Var
 from ..functions import Binding
 from .base import (
@@ -29,6 +30,9 @@ class SingletonOp(PhysicalOperator):
         super().__init__(runtime)
         self.guards = tuple(guards)
         self._emitted = False
+
+    def clustered_on(self) -> Tuple[str, ...]:
+        return ()  # at most one row, binding nothing
 
     def _next(self, limit: int) -> List[Binding]:
         self.done = True
@@ -137,6 +141,26 @@ class PatternScanOp(PhysicalOperator):
         if self.post_filters:
             extras.append(f"+{len(self.post_filters)} inline filters")
         return text + (" " + " ".join(extras) if extras else "")
+
+    def clustered_on(self) -> Optional[Tuple[str, ...]]:
+        """Child order, then this scan's open variables in index order.
+
+        Per outer row the store yields matches strictly increasing in
+        the open positions (:data:`~repro.rdf.graph.SCAN_ORDER`) and the
+        filters only drop rows; a child that claims nothing may repeat
+        an outer row, and then so do we.
+        """
+        keyed = self.child.clustered_on()
+        if keyed is None:
+            return None
+        names = [name for name, _ in self._slots]
+        # The child binds exactly ``keyed`` in every row, so the shape of
+        # the scans is known without running one.
+        shape = tuple(name is None or name in keyed for name in names)
+        # A variable repeated among the open positions sorts where it
+        # first appears.
+        opened = dict.fromkeys(names[position] for position in SCAN_ORDER[shape])
+        return keyed + tuple(opened)
 
     # -- scanning -------------------------------------------------------
 

@@ -217,3 +217,30 @@ def test_an_aggregation_whose_having_rejects_everything_still_returns(graph, k):
         calls += 1
     assert stats.groups == ROWS
     assert calls >= ROWS // BLOCK
+
+
+@pytest.mark.parametrize("k", [1, 7, BLOCK])
+def test_an_ordered_aggregation_releases_groups_while_its_input_runs(graph, k):
+    """Absorbing and releasing are one loop: a call pulls at most one
+    block, and only once every complete group has left — so what is
+    pending never exceeds one block's groups plus the open partition."""
+    plan = build_physical_plan(
+        graph,
+        f"SELECT ?s (COUNT(*) AS ?n) WHERE {{ {ITEMS} . {RANKS} }} GROUP BY ?s",
+    )
+    (agg,) = [op for op in plan.root.walk() if isinstance(op, AggregationOp)]
+    assert agg.detail() == "group by ?s, released per ?s"
+    stub = agg.child = Counting(agg.child)
+    pulled_at_first_row = None
+    produced = 0
+    while not agg.done:
+        before = stub.pulled
+        rows = agg.next(k)
+        assert len(rows) <= k
+        assert stub.pulled - before <= BLOCK
+        assert len(agg._ready) + len(agg._groups) <= BLOCK + 1
+        produced += len(rows)
+        if rows and pulled_at_first_row is None:
+            pulled_at_first_row = stub.pulled
+    assert produced == ROWS == plan.stats.groups
+    assert pulled_at_first_row <= BLOCK  # not after all ROWS members

@@ -17,7 +17,10 @@
 #      dictionary round-trip and byte-identical paged SPARQL-JSON),
 #      plus the property-path paging smoke (a subClassOf* closure must
 #      suspend mid-traversal, resume from its token, and report its
-#      BFS frontier counters in EXPLAIN ANALYZE);
+#      BFS frontier counters in EXPLAIN ANALYZE), and the segmented-
+#      token smoke: the Fig. 4 chart paged with every page on a fresh
+#      endpoint equals the unpaged answer, its first continuation token
+#      is `head.segment...` and its last is a head and one segment;
 #   3. a plan-cache + dictionary + engine-counter metrics smoke over
 #      `repro metrics --exercise`, whose chart and ORDER BY … LIMIT
 #      queries are all *routed* (HVS → views → decomposer → backend; no
@@ -83,6 +86,32 @@ path_explained="$(python -m repro query "$path_query" --page-size 25 --explain -
 grep -q 'PathScan.*hops=' <<< "$path_explained" \
   || { echo "FAIL: no PathScan frontier detail in EXPLAIN ANALYZE"; exit 1; }
 echo "ok: path query paged through continuation tokens with frontier detail"
+
+echo
+echo "== segmented tokens: the Fig. 4 chart, every page on a fresh endpoint =="
+python - <<'PY'
+from repro.core.queries import MemberPattern, property_chart_query
+from repro.datasets import DBpediaConfig, generate_dbpedia
+from repro.endpoint import LocalEndpoint
+from repro.rdf import OWL
+
+graph = generate_dbpedia(DBpediaConfig(scale=0.00025, seed=42)).graph
+text = property_chart_query(MemberPattern.of_type(OWL.term("Thing")))
+rows, tokens = [], []
+response = LocalEndpoint(graph).query(text, page_size=50)
+while not response.complete:
+    rows += response.result.rows
+    tokens.append(response.continuation)
+    response = LocalEndpoint(graph).query(continuation=tokens[-1], page_size=50)
+rows += response.result.rows
+assert rows == LocalEndpoint(graph).query(text).result.rows, "paged != unpaged"
+parts = [len(token.split(".")) for token in tokens]
+assert parts[0] >= 2, f"first token is one piece: the sort's rows are inline ({parts})"
+assert parts[-1] == 2, f"last token should be a head and one segment ({parts})"
+assert parts == sorted(parts, reverse=True), f"a token grew ({parts})"
+print(f"ok: {len(rows)} rows over {len(tokens) + 1} cold pages; "
+      f"head + {parts[0] - 1} segments down to head + 1")
+PY
 
 echo
 echo "== plan-cache metrics smoke =="

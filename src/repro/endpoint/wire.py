@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 from ..obs.metrics import REGISTRY
 from ..sparql.errors import SparqlError
-from ..sparql.results import GraphResult, results_from_json, results_to_json
+from ..sparql.results import GraphResult, results_from_blob, results_to_blob
 
 _WIRE_ENCODES_TOTAL = REGISTRY.counter(
     "repro_wire_encodes_total",
@@ -138,13 +138,12 @@ def encode_success(
         body = result.to_ntriples()
         content_type = NTRIPLES_MIME
     else:
-        body = results_to_json(result)
+        blob = results_to_blob(result)
         content_type = JSON_RESULTS_MIME
         if continuation is not None or not complete:
-            blob = json.loads(body)
             blob["continuation"] = continuation
             blob["complete"] = bool(complete)
-            body = json.dumps(blob)
+        body = json.dumps(blob)
     _WIRE_ENCODES_TOTAL.labels(content_type=content_type).inc()
     _WIRE_ENCODE_WALL_MS_TOTAL.inc((perf_counter() - started) * 1000.0)
     return SparqlHttpResponse(
@@ -198,6 +197,21 @@ def _raise_protocol_error(response: SparqlHttpResponse) -> None:
     raise SparqlError(f"endpoint returned {response.status}: {response.body}")
 
 
+def _decode_body(response: SparqlHttpResponse):
+    """``(result, JSON document or None)`` of a response, parsed once."""
+    if not response.ok:
+        _raise_protocol_error(response)
+    if response.content_type == NTRIPLES_MIME:
+        from ..rdf.graph import Graph
+        from ..rdf.ntriples import parse_ntriples
+
+        return GraphResult(Graph(parse_ntriples(response.body))), None
+    if response.content_type != JSON_RESULTS_MIME:
+        raise SparqlError(f"unexpected content type: {response.content_type}")
+    blob = json.loads(response.body)
+    return results_from_blob(blob), blob
+
+
 def decode_response(response: SparqlHttpResponse):
     """Parse a response body back into a result object.
 
@@ -205,16 +219,7 @@ def decode_response(response: SparqlHttpResponse):
     :func:`_raise_protocol_error`) on non-2xx responses, mirroring what
     an HTTP client wrapper would do.
     """
-    if not response.ok:
-        _raise_protocol_error(response)
-    if response.content_type == NTRIPLES_MIME:
-        from ..rdf.graph import Graph
-        from ..rdf.ntriples import parse_ntriples
-
-        return GraphResult(Graph(parse_ntriples(response.body)))
-    if response.content_type != JSON_RESULTS_MIME:
-        raise SparqlError(f"unexpected content type: {response.content_type}")
-    return results_from_json(response.body)
+    return _decode_body(response)[0]
 
 
 def decode_page(response: SparqlHttpResponse):
@@ -225,11 +230,7 @@ def decode_page(response: SparqlHttpResponse):
     one-shot answers, so this is a strict superset of
     :func:`decode_response` for SPARQL-JSON bodies.
     """
-    result = decode_response(response)
-    continuation = None
-    complete = True
-    if response.content_type == JSON_RESULTS_MIME:
-        blob = json.loads(response.body)
-        continuation = blob.get("continuation")
-        complete = bool(blob.get("complete", True))
-    return result, continuation, complete
+    result, blob = _decode_body(response)
+    if blob is None:
+        return result, None, True
+    return result, blob.get("continuation"), bool(blob.get("complete", True))

@@ -12,6 +12,7 @@ serialisations are deterministic.
 
 from __future__ import annotations
 
+import re
 import threading
 from typing import Union
 
@@ -77,6 +78,11 @@ class Term:
         return self.sort_key() >= other.sort_key()
 
 
+#: Finds a character no URI may hold: ``<>"{}|^``, the backtick, and
+#: anything at or below the space.
+_URI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`]').search
+
+
 class URI(Term):
     """A Unique Resource Identifier (an element of **U**)."""
 
@@ -88,9 +94,7 @@ class URI(Term):
             raise TypeError(f"URI value must be str, got {type(value).__name__}")
         if not value:
             raise ValueError("URI value must be non-empty")
-        if any(ch in value for ch in "<>\"{}|^`") or any(
-            ord(ch) <= 0x20 for ch in value
-        ):
+        if _URI_FORBIDDEN(value):
             raise ValueError(f"invalid characters in URI: {value!r}")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_hash", hash((_KIND_URI, value)))

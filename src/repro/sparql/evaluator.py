@@ -71,6 +71,9 @@ class Evaluator:
         #: factory.  Lives as long as the execution, never serialised:
         #: a resumed plan recompiles on first use.
         self._exists_plans: Dict[int, object] = {}
+        #: Where ``PhysicalPlan.save`` / ``load`` keep the encoded chunks
+        #: of finished sorts while the operators save or claim them.
+        self.segments: list = []
 
     # The planner and executor import this module for the context class
     # and the counters, so the entry points below import them lazily.

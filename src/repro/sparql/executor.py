@@ -13,7 +13,9 @@ heavy property expansion cannot monopolise the engine.
 
 Continuation tokens are stateless on the server: base64-encoded JSON
 carrying a format version, the graph version the execution started
-against, the query text, and the saved operator-state tree.  Decoding
+against, the query text, and the saved operator-state tree — followed,
+``.``-separated, by the already-encoded chunks of any finished sort,
+which that tree refers to instead of containing.  Decoding
 distinguishes three failure classes, each surfaced as a clean protocol
 error rather than a wrong answer:
 
@@ -30,7 +32,6 @@ error rather than a wrong answer:
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -66,20 +67,14 @@ __all__ = [
     "RoundRobinScheduler",
 ]
 
-#: Format version minted into every continuation token.  Version 2:
-#: blocking operators (aggregation, sort, top-k) serialise streaming
-#: accumulators and only their un-emitted suffix, so tokens are
-#: O(groups) — not O(input) — and shrink as results drain.
-#:
-#: PR 8 adds ``PathScan`` operator states to the tree (BFS frontier +
-#: sorted visited set + emit buffer instead of a skip-ahead offset)
-#: without bumping the envelope: non-path tokens are unchanged, and a
-#: pre-PR 8 path token carries a ``PatternScan``-labelled state where
-#: the restored plan now expects ``PathScan``, so it fails the per-node
-#: label check and is rejected as a clean ``MalformedTokenError`` 400
-#: rather than resuming a traversal whose order the old kernel never
-#: guaranteed across processes anyway.
-TOKEN_VERSION = 2
+#: Format version minted into every continuation token (the history of
+#: the tree's shapes is in docs/EXECUTOR.md, "Continuation tokens").
+#: Version 3: a token is ``head[.segment]*``.  A finished sort's pending
+#: rows ride behind the head as encode-once segments the state tree
+#: refers to (``{"$run": [first, count], "skip": n}``) instead of inside
+#: it, so a continuation page neither re-serialises nor re-parses them.
+#: A version 2 token is the case with no segments and is still read.
+TOKEN_VERSION = 3
 
 #: Default time slice when paging is requested without an explicit quantum.
 DEFAULT_QUANTUM_MS = 50.0
@@ -221,19 +216,25 @@ def run_quantum(
     reason = "complete"
     root = plan.root
     steps = 0
-    while not root.done:
-        rows += root.next(
-            BLOCK if page_size is None else min(BLOCK, page_size - len(rows))
-        )
-        steps += 1
-        if page_size is not None and len(rows) >= page_size:
-            if not root.done:
-                reason = "row_budget"
-            break
-        if deadline is not None and perf_counter() >= deadline:
-            if not root.done:
-                reason = "deadline"
-            break
+    try:
+        while not root.done:
+            rows += root.next(
+                BLOCK if page_size is None else min(BLOCK, page_size - len(rows))
+            )
+            steps += 1
+            if page_size is not None and len(rows) >= page_size:
+                if not root.done:
+                    reason = "row_budget"
+                break
+            if deadline is not None and perf_counter() >= deadline:
+                if not root.done:
+                    reason = "deadline"
+                break
+    except PlanStateError as error:
+        # A restored sort decodes a chunk of its token when emission
+        # reaches it, which can be long after restore_plan accepted it.
+        _TOKEN_REJECTS_TOTAL.labels(reason="malformed").inc()
+        raise MalformedTokenError(f"continuation state is corrupt: {error}")
     plan.stats.results += len(rows)
     _OPERATOR_STEPS_TOTAL.inc(steps)
     complete = root.done
@@ -305,39 +306,50 @@ def run_request(
 
 
 def encode_continuation(plan: PhysicalPlan, graph: Graph, query_text: str) -> str:
-    """Mint the opaque resume token for a suspended plan."""
+    """Mint the opaque resume token for a suspended plan:
+    ``head[.segment]*``, the base64url envelope and state tree followed
+    by the encoded chunks of any finished sort, already text."""
+    state = plan.save()
+    segments = state.pop("$segments", ())
     blob = {
         "v": TOKEN_VERSION,
         "graph": graph.version,
         "query": query_text,
-        "state": plan.save(),
+        "state": state,
     }
-    return base64.urlsafe_b64encode(
+    head = base64.urlsafe_b64encode(
         json.dumps(blob, separators=(",", ":")).encode("utf-8")
     ).decode("ascii")
+    return ".".join((head, *segments))
 
 
 def decode_continuation(token: str) -> Dict:
     """Decode and validate a token's envelope (not yet its state tree).
 
-    Raises :class:`MalformedTokenError` on garbage and
+    Only the head is parsed; the segments go into the state tree as the
+    text they are (``state["$segments"]``) for the operators that own
+    them to decode when they need to.  Raises
+    :class:`MalformedTokenError` on garbage and
     :class:`TokenVersionError` on a format-version mismatch.  Graph
     freshness is checked in :func:`restore_plan`, where the graph is at
     hand.
     """
     try:
-        text = base64.urlsafe_b64decode(token.encode("ascii")).decode("utf-8")
+        head, *segments = token.split(".")
+        text = base64.urlsafe_b64decode(head.encode("ascii")).decode("utf-8")
         blob = json.loads(text)
-    except (ValueError, binascii.Error, UnicodeDecodeError, AttributeError):
+    except (ValueError, TypeError, AttributeError):  # not even a str
         _TOKEN_REJECTS_TOTAL.labels(reason="malformed").inc()
         raise MalformedTokenError("continuation token is not decodable")
     if not isinstance(blob, dict) or not isinstance(blob.get("state"), dict):
         _TOKEN_REJECTS_TOTAL.labels(reason="malformed").inc()
         raise MalformedTokenError("continuation token has no state tree")
-    if blob.get("v") != TOKEN_VERSION:
+    # Version 2 is the token with no segments: same envelope, same tree.
+    version = blob.get("v")
+    if version != TOKEN_VERSION and (version != 2 or segments):
         _TOKEN_REJECTS_TOTAL.labels(reason="version").inc()
         raise TokenVersionError(
-            f"continuation token version {blob.get('v')!r} "
+            f"continuation token version {version!r} "
             f"is not supported (expected {TOKEN_VERSION})"
         )
     if not isinstance(blob.get("graph"), int) or not isinstance(
@@ -345,6 +357,7 @@ def decode_continuation(token: str) -> Dict:
     ):
         _TOKEN_REJECTS_TOTAL.labels(reason="malformed").inc()
         raise MalformedTokenError("continuation token envelope is incomplete")
+    blob["state"]["$segments"] = segments
     return blob
 
 
@@ -394,7 +407,7 @@ def restore_plan(
     plan = factory.instantiate(graph)
     try:
         plan.load(blob["state"])
-    except (PlanStateError, KeyError, TypeError, ValueError) as error:
+    except (PlanStateError, KeyError, TypeError, ValueError, OverflowError) as error:
         _TOKEN_REJECTS_TOTAL.labels(reason="malformed").inc()
         raise MalformedTokenError(
             f"continuation state does not fit the query's plan: {error}"

@@ -31,8 +31,14 @@ Determinism contract: ``load`` replays index scans by skipping
 the graph is unchanged (the executor enforces this through the graph
 ``version`` stamped into every token) and iteration happens in the same
 process.  Blocking state (hash-join build tables, DISTINCT seen sets,
-heaps, aggregation groups) is serialised verbatim, so a restored plan
-continues exactly where it stopped.
+heaps, aggregation groups, sort buffers still building) is serialised
+verbatim, so a restored plan continues exactly where it stopped.  The
+exception is state that can no longer change: a *finished* sort's
+output is cut once into :data:`BLOCK`-row chunks (``aggregate._Run``),
+each encoded at most once per process into a text *segment* that
+travels beside the state tree (``"$segments"``; behind the head of a
+continuation token) and is decoded at most once, when emission reaches
+it — the tree itself holds ``{"$run": [first, count], "skip": n}``.
 
 **ID-space execution.**  Since PR 5 every in-plan binding value is a raw
 ``int`` — the :class:`~repro.rdf.dictionary.TermDictionary` ID of the

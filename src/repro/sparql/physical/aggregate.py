@@ -3,7 +3,9 @@ bounded-heap top-k that backs fused ORDER BY ... LIMIT."""
 
 from __future__ import annotations
 
+import base64
 import heapq
+import json
 from collections import deque
 from itertools import chain
 from operator import itemgetter
@@ -20,6 +22,7 @@ from ..functions import (
     extreme_order_key,
     term_order_key,
 )
+from ...obs.metrics import REGISTRY
 from ...rdf.terms import Literal, Term
 from .base import (
     BLOCK,
@@ -742,17 +745,118 @@ def _order_key(conditions, binding: Binding, runtime) -> List:
     return keys
 
 
-def _pending_blobs(op, ordered: List[Binding]) -> List:
-    """Token blobs of the rows a finished sort has still to emit:
-    encoded once, at the first save, and sliced on every later page.
-    The cache lives on the operator and is never serialised."""
-    if op._encoded is None:
-        op._encoded = (
-            op._emit_index,
-            [encode_binding(row, op.runtime) for row in ordered[op._emit_index:]],
+_SEGMENTS = REGISTRY.counter(
+    "repro_exec_token_segments_total",
+    "Chunks of a finished sort crossing a continuation token: encoded "
+    "(the first save), forwarded as text (every later save), decoded "
+    "(the first emission after a restore)",
+    labelnames=("event",),
+)
+
+
+def _decode_rows(blob, runtime) -> List[Binding]:
+    """Rows saved inline: by a sort still building, or by a version 2 token."""
+    if not isinstance(blob, list):
+        raise PlanStateError("expected an inline list of rows")
+    return [decode_binding(row, runtime) for row in blob]
+
+
+class _Run:
+    """The rows a finished sort has still to emit.  They never change
+    again, so they are cut once into :data:`BLOCK`-row chunks and a page
+    costs the rows it emits, not the rows still waiting.
+
+    A chunk is ``[rows, segment]``, either of which may be ``None``.
+    The *segment* — ``base64url(JSON([encode_binding(row), ...]))`` — is
+    made by the first :meth:`save` that needs it and is the same text in
+    every later token; a chunk that arrived as a segment is decoded when
+    emission first reaches it and travels on undecoded until then.
+    Chunk boundaries are fixed when the run is cut and depend on no page
+    size, so the process that sorted a run and any process that restored
+    it mint the same token.
+    """
+
+    __slots__ = ("runtime", "chunks", "skip", "emitted")
+
+    def __init__(self, runtime, rows=(), emitted=0):
+        self.runtime = runtime
+        self.chunks = deque(
+            [rows[at:at + BLOCK], None] for at in range(0, len(rows), BLOCK)
         )
-    first, blobs = op._encoded
-    return blobs[op._emit_index - first:]
+        self.skip = 0  # rows of chunks[0] already emitted
+        self.emitted = int(emitted)  # a count for the record, never a size
+
+    def take(self, limit: int) -> List[Binding]:
+        out: List[Binding] = []
+        while self.chunks and len(out) < limit:
+            rows = self._rows(self.chunks[0])
+            part = rows[self.skip:self.skip + limit - len(out)]
+            out += part
+            self.skip += len(part)
+            if self.skip >= len(rows):
+                self.chunks.popleft()
+                self.skip = 0
+        self.emitted += len(out)
+        return out
+
+    def _rows(self, chunk: List) -> List[Binding]:
+        if chunk[0] is None:
+            try:
+                blobs = json.loads(base64.urlsafe_b64decode(chunk[1]))
+                if not (isinstance(blobs, list) and 0 < len(blobs) <= BLOCK):
+                    raise ValueError(f"not a list of 1 to {BLOCK} rows")
+                chunk[0] = [decode_binding(blob, self.runtime) for blob in blobs]
+            except (ValueError, TypeError, AttributeError) as error:
+                raise PlanStateError(f"undecodable run segment: {error}")
+            _SEGMENTS.labels(event="decoded").inc()
+        return chunk[0]
+
+    def save(self) -> Dict:
+        """A reference to the pending segments, which are parked on the
+        runtime: ``PhysicalPlan.save`` puts them beside the tree."""
+        segments = self.runtime.segments
+        first = len(segments)
+        fresh = 0
+        for chunk in self.chunks:
+            if chunk[1] is None:
+                blobs = [encode_binding(row, self.runtime) for row in chunk[0]]
+                chunk[1] = base64.urlsafe_b64encode(
+                    json.dumps(blobs, separators=(",", ":")).encode("utf-8")
+                ).decode("ascii")
+                fresh += 1
+            segments.append(chunk[1])
+        _SEGMENTS.labels(event="encoded").inc(fresh)
+        _SEGMENTS.labels(event="forwarded").inc(len(self.chunks) - fresh)
+        return {"$run": [first, len(self.chunks)], "skip": self.skip}
+
+    @classmethod
+    def load(cls, runtime, blob, emitted, emitting: bool = True) -> "_Run":
+        """Rebuild from :meth:`save` output, or cut the inline rows of a
+        version 2 token.  A reference claims its segments off the runtime
+        (``PhysicalPlan.load`` sees which nobody wanted); only the chunk
+        ``skip`` points into is decoded now."""
+        if not (emitting and isinstance(blob, dict)):
+            return cls(runtime, _decode_rows(blob, runtime), emitted)
+        first, count = blob["$run"]
+        skip = blob.get("skip", 0)
+        segments = runtime.segments
+        if not (
+            type(first) is type(count) is type(skip) is int
+            and 0 <= first
+            and 0 <= count
+            and first + count <= len(segments)
+        ):
+            raise PlanStateError("run reference out of range")
+        claimed = segments[first:first + count]
+        if not all(isinstance(segment, str) for segment in claimed):
+            raise PlanStateError("run references overlap")
+        segments[first:first + count] = [None] * count
+        run = cls(runtime, emitted=emitted)
+        run.chunks.extend([None, segment] for segment in claimed)
+        run.skip = skip
+        if not 0 <= skip < (len(run._rows(run.chunks[0])) if claimed else 1):
+            raise PlanStateError("run position is outside its first chunk")
+        return run
 
 
 class OrderByOp(_UnaryOp):
@@ -764,9 +868,8 @@ class OrderByOp(_UnaryOp):
         super().__init__(runtime, child)
         self.conditions = list(conditions)
         self._phase = "build"
-        self._buffer: List[Binding] = []
-        self._emit_index = 0
-        self._encoded = None  # see _pending_blobs
+        self._buffer: List[Binding] = []  # build phase: rows absorbed so far
+        self._run = _Run(runtime)  # emit phase: the sorted rows
 
     def detail(self) -> str:
         return f"{len(self.conditions)} keys"
@@ -779,26 +882,25 @@ class OrderByOp(_UnaryOp):
                         self.conditions, binding, self.runtime
                     )
                 )
+                self._run = _Run(self.runtime, self._buffer)
+                self._buffer = []
                 self._phase = "emit"
             else:
                 self._buffer += self.child.next(BLOCK)
             return []
-        rows = self._buffer[self._emit_index:self._emit_index + limit]
-        self._emit_index += len(rows)
-        if self._emit_index >= len(self._buffer):
-            self.done = True
+        rows = self._run.take(limit)
+        self.done = not self._run.chunks
         return rows
 
     def _save(self) -> Dict:
         # Rows already emitted are never revisited, so only the pending
-        # suffix crosses the token — suspended sorts shrink as they
-        # drain.
+        # chunks cross the token — suspended sorts shrink as they drain.
         return {
             "phase": self._phase,
             "child": self.child.save(),
-            "emitted": self._emit_index,
+            "emitted": self._run.emitted,
             "buffer": (
-                _pending_blobs(self, self._buffer)
+                self._run.save()
                 if self._phase == "emit"
                 else [encode_binding(row, self.runtime) for row in self._buffer]
             ),
@@ -807,16 +909,15 @@ class OrderByOp(_UnaryOp):
     def _load(self, state: Dict) -> None:
         self.child.load(state["child"])
         self._phase = state.get("phase", "build")
+        saved, emitted = state.get("buffer", []), state.get("emitted", 0)
         # In the emit phase the buffer was serialised post-sort, so no
         # re-sort is needed (and none would be safe: keys are recomputed
         # lazily only in the build phase).
-        emitted = int(state.get("emitted", 0))
-        self._emit_index = emitted
-        self._encoded = None
-        self._buffer = [None] * emitted + [
-            decode_binding(blob, self.runtime)
-            for blob in state.get("buffer", ())
-        ]
+        if self._phase == "emit":
+            self._buffer, self._run = [], _Run.load(self.runtime, saved, emitted)
+        else:
+            self._buffer = _decode_rows(saved, self.runtime)
+            self._run = _Run(self.runtime, emitted=emitted)
 
 
 class TopKOp(_UnaryOp):
@@ -837,9 +938,7 @@ class TopKOp(_UnaryOp):
         self._phase = "build"
         self._heap: List[_TopKEntry] = []
         self._serial = 0
-        self._ordered: List[Binding] = []
-        self._emit_index = 0
-        self._encoded = None  # see _pending_blobs
+        self._run = _Run(runtime)  # emit phase: the retained rows, sorted
 
     def detail(self) -> str:
         text = f"{len(self.conditions)} keys, limit {self.limit}"
@@ -850,7 +949,9 @@ class TopKOp(_UnaryOp):
     def _finalize(self) -> None:
         ordered = sorted(self._heap)
         ordered.reverse()
-        self._ordered = [entry.binding for entry in ordered[self.offset:]]
+        self._run = _Run(
+            self.runtime, [entry.binding for entry in ordered[self.offset:]]
+        )
         self._heap = []
         self._phase = "emit"
 
@@ -874,10 +975,8 @@ class TopKOp(_UnaryOp):
                 ):
                     heapq.heapreplace(self._heap, _TopKEntry(key, serial, row))
             return []
-        rows = self._ordered[self._emit_index:self._emit_index + limit]
-        self._emit_index += len(rows)
-        if self._emit_index >= len(self._ordered):
-            self.done = True
+        rows = self._run.take(limit)
+        self.done = not self._run.chunks
         return rows
 
     def _save(self) -> Dict:
@@ -889,12 +988,8 @@ class TopKOp(_UnaryOp):
                 [entry.serial, encode_binding(entry.binding, self.runtime)]
                 for entry in self._heap
             ],
-            "emitted": self._emit_index,
-            "ordered": (
-                _pending_blobs(self, self._ordered)
-                if self._phase == "emit"
-                else []
-            ),
+            "emitted": self._run.emitted,
+            "ordered": self._run.save() if self._phase == "emit" else [],
         }
 
     def _load(self, state: Dict) -> None:
@@ -907,10 +1002,9 @@ class TopKOp(_UnaryOp):
             key = _order_key(self.conditions, row, self.runtime)
             self._heap.append(_TopKEntry(key, int(serial), row))
         heapq.heapify(self._heap)
-        emitted = int(state.get("emitted", 0))
-        self._emit_index = emitted
-        self._encoded = None
-        self._ordered = [None] * emitted + [
-            decode_binding(blob, self.runtime)
-            for blob in state.get("ordered", ())
-        ]
+        self._run = _Run.load(
+            self.runtime,
+            state.get("ordered", []),
+            state.get("emitted", 0),
+            self._phase == "emit",
+        )

@@ -262,13 +262,14 @@ class PatternScanOp(PhysicalOperator):
     # -- suspension -----------------------------------------------------
 
     def _save(self) -> Dict:
+        # Between outer rows the offset means nothing (load drops it):
+        # saved as 0, so a restored plan and the live one it was saved
+        # from mint the same token.
+        if self._current is None:
+            return {"child": self.child.save(), "current": None, "offset": 0}
         return {
             "child": self.child.save(),
-            "current": (
-                encode_binding(self._current, self.runtime)
-                if self._current is not None
-                else None
-            ),
+            "current": encode_binding(self._current, self.runtime),
             "offset": self._offset,
         }
 

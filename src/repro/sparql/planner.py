@@ -65,6 +65,7 @@ from .physical import (
     PathScanOp,
     PatternScanOp,
     PhysicalOperator,
+    PlanStateError,
     ProjectOp,
     ReducedOp,
     SingletonOp,
@@ -387,10 +388,20 @@ class PhysicalPlan:
         return self.runtime.stats
 
     def save(self) -> dict:
-        return self.root.save()
+        """The state tree, with the encoded chunks of any finished sort
+        beside it under ``"$segments"`` (see ``aggregate._Run``)."""
+        segments = self.runtime.segments = []
+        state = self.root.save()
+        if segments:
+            state["$segments"] = segments
+        return state
 
     def load(self, state: dict) -> None:
+        segments = state.get("$segments", ()) if isinstance(state, dict) else ()
+        self.runtime.segments = list(segments)
         self.root.load(state)
+        if any(segment is not None for segment in self.runtime.segments):
+            raise PlanStateError("a segment is referenced by no run")
         self.fresh = False
 
     def operators(self) -> List[PhysicalOperator]:

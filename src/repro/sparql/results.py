@@ -22,6 +22,8 @@ __all__ = [
     "construct_graph",
     "results_to_json",
     "results_from_json",
+    "results_to_blob",
+    "results_from_blob",
     "term_to_json",
     "term_from_json",
 ]
@@ -245,10 +247,11 @@ def term_from_json(blob: Dict[str, Any]) -> Term:
     return _term_from_json(blob)
 
 
-def results_to_json(result) -> str:
-    """Serialise a SelectResult/AskResult to SPARQL-JSON text."""
+def results_to_blob(result) -> Dict[str, Any]:
+    """A SelectResult/AskResult as the SPARQL-JSON document, unserialised
+    (the wire adds its paging keys to it before the one ``dumps``)."""
     if isinstance(result, AskResult):
-        return json.dumps({"head": {}, "boolean": result.value})
+        return {"head": {}, "boolean": result.value}
     assert isinstance(result, SelectResult)
     bindings = [
         {
@@ -258,14 +261,11 @@ def results_to_json(result) -> str:
         }
         for row in result.rows
     ]
-    return json.dumps(
-        {"head": {"vars": result.vars}, "results": {"bindings": bindings}}
-    )
+    return {"head": {"vars": result.vars}, "results": {"bindings": bindings}}
 
 
-def results_from_json(text: str):
-    """Parse SPARQL-JSON text back into a SelectResult or AskResult."""
-    blob = json.loads(text)
+def results_from_blob(blob: Dict[str, Any]):
+    """Inverse of :func:`results_to_blob`."""
     if "boolean" in blob:
         return AskResult(bool(blob["boolean"]))
     variables = blob.get("head", {}).get("vars", [])
@@ -274,3 +274,13 @@ def results_from_json(text: str):
         for binding in blob.get("results", {}).get("bindings", [])
     ]
     return SelectResult(variables, rows)
+
+
+def results_to_json(result) -> str:
+    """Serialise a SelectResult/AskResult to SPARQL-JSON text."""
+    return json.dumps(results_to_blob(result))
+
+
+def results_from_json(text: str):
+    """Parse SPARQL-JSON text back into a SelectResult or AskResult."""
+    return results_from_blob(json.loads(text))

@@ -31,6 +31,20 @@ class TestURI:
         with pytest.raises(ValueError):
             URI(bad)
 
+    def test_forbidden_set_is_exactly_the_listed_characters(self):
+        """The accepted set, character by character: ``<>"{}|^```, and
+        everything from NUL to the space, at any position; nothing else
+        below U+3000 (the backslash and DEL included)."""
+        forbidden = set('<>"{}|^`') | {chr(code) for code in range(0x21)}
+        for code in range(0x3000):
+            char = chr(code)
+            for value in (char, "http://a/" + char, char + "b", f"a{char}b"):
+                if char in forbidden:
+                    with pytest.raises(ValueError):
+                        URI(value)
+                else:
+                    assert URI(value).value == value
+
     def test_immutable(self):
         uri = URI("http://a")
         with pytest.raises(AttributeError):

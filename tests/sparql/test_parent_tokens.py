@@ -4,11 +4,14 @@
 engine of PR 11 minted over :func:`fixture_graph` (see
 ``fixtures/capture_parent_tokens.py``), with the rows that engine had
 served before each and went on to serve after it.  The block-at-a-time
-engine must resume both to exactly the remaining rows: ``TOKEN_VERSION``
-is still 2 and no saved-state shape changed, which is what lets a worker
-fleet mid-deploy hand tokens between old and new processes.
+engine must resume both to exactly the remaining rows.  ``TOKEN_VERSION``
+is 3 now — a finished sort's rows ride behind the state tree as
+segments — and a version 2 token is read as the token with no segments,
+which is what lets a worker fleet mid-deploy take the old processes'
+tokens.
 """
 
+import base64
 import json
 import os
 
@@ -75,7 +78,9 @@ def recorded():
 
 
 def test_fixture_matches_this_checkout(recorded, tmp_path):
-    assert TOKEN_VERSION == 2
+    assert TOKEN_VERSION == 3
+    for which in ("mid_emit", "mid_build"):  # ...and 2 is readable
+        assert decode_continuation(recorded[which]["token"])["v"] == 2
     assert recorded["query"] == CHART_QUERY
     assert recorded["triples"] == len(fixture_graph(tmp_path))
     assert recorded["mid_emit"]["reason"] == "row_budget"
@@ -127,13 +132,42 @@ def _without_idle_offsets(state):
     return state
 
 
+def _with_runs_expanded(state):
+    """The state tree as version 2 wrote it: each finished sort's run
+    reference replaced by the rows it stands for, decoded from the
+    segments beside the tree."""
+    segments = state.pop("$segments")
+
+    def expand(node):
+        if isinstance(node, dict) and "$run" in node:
+            first, count = node["$run"]
+            rows = [
+                row
+                for segment in segments[first:first + count]
+                for row in json.loads(base64.urlsafe_b64decode(segment))
+            ]
+            return rows[node["skip"]:]
+        if isinstance(node, dict):
+            return {key: expand(value) for key, value in node.items()}
+        return node
+
+    return expand(state)
+
+
 @pytest.mark.parametrize("which", ["mid_emit", "mid_build"])
 def test_resaving_a_parent_token_reproduces_it(recorded, which, tmp_path):
-    """Load → save is the identity on a parent token: same state shape."""
+    """Load → save is the identity on a parent token: same state shape,
+    once the finished sort's segments are read back into the tree (a
+    sort still building has none, and its tree is the parent's as is)."""
     graph = fixture_graph(tmp_path)
     blob = decode_continuation(recorded[which]["token"])
     plan = restore_plan(
         build_physical_plan(graph, CHART_QUERY).factory, graph, blob
     )
     resaved = decode_continuation(encode_continuation(plan, graph, CHART_QUERY))
-    assert _without_idle_offsets(resaved) == _without_idle_offsets(blob)
+    assert (len(resaved["state"]["$segments"]) > 0) == (which == "mid_emit")
+    assert resaved["v"] == TOKEN_VERSION and resaved["graph"] == blob["graph"]
+    assert resaved["query"] == blob["query"]
+    assert _without_idle_offsets(
+        _with_runs_expanded(resaved["state"])
+    ) == _without_idle_offsets(_with_runs_expanded(blob["state"]))

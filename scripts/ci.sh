@@ -42,7 +42,9 @@
 #   5. the snapshot-store smoke test (deterministic builds, reopen
 #      parity, byte-identical paged SPARQL-JSON over the mmap store,
 #      corruption → typed errors, read-only enforcement), plus a
-#      build → zero-copy reopen round-trip through the CLI boot path;
+#      build → zero-copy reopen round-trip through the CLI boot path,
+#      built twice under different hash seeds and compared byte for
+#      byte (a writer that leans on set or dict hash order fails here);
 #   6. the benchmark ledger's smoke run (all four workloads on the
 #      small dataset with their answer checks, <30 s) and its harness
 #      tests, so an engine change that breaks a ledger workload fails
@@ -155,13 +157,16 @@ echo
 echo "== snapshot build → reopen smoke =="
 snapdir="$(mktemp -d)"
 trap 'rm -rf "$snapdir"' EXIT
-python -m repro snapshot build "$snapdir/ci.snap"
+PYTHONHASHSEED=1 python -m repro snapshot build "$snapdir/ci.snap"
+PYTHONHASHSEED=2 python -m repro snapshot build "$snapdir/ci-seed2.snap"
+cmp "$snapdir/ci.snap" "$snapdir/ci-seed2.snap" \
+  || { echo "FAIL: the snapshot's bytes depend on the hash seed"; exit 1; }
 python -m repro snapshot info "$snapdir/ci.snap" > /dev/null
 python -m repro --snapshot "$snapdir/ci.snap" stats > "$snapdir/from-snap.txt"
 python -m repro stats > "$snapdir/from-mem.txt"
 diff "$snapdir/from-mem.txt" "$snapdir/from-snap.txt" \
   || { echo "FAIL: stats differ between snapshot and in-memory boot"; exit 1; }
-echo "ok: snapshot boot serves the same opening statistics as a text boot"
+echo "ok: two hash seeds build one file; snapshot boot serves the same opening statistics as a text boot"
 
 echo
 echo "== benchmark ledger smoke =="

@@ -49,14 +49,18 @@ an ordinary mutable :class:`Graph` as the escape hatch.
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import struct
 import sys
+import tempfile
 import threading
 import time
 import zlib
 from array import array
+from itertools import accumulate
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs.metrics import REGISTRY
@@ -410,72 +414,56 @@ def build_snapshot_bytes(graph) -> bytes:
     ID order — building the same graph state twice yields identical
     files (asserted by tests and the ``snapshot --self-test``).
     """
+    return b"".join(_snapshot_parts(graph))
+
+
+def _snapshot_parts(graph) -> List[bytes]:
+    """The file in order — header, section table, each section behind
+    its padding — with the CRC folded over the parts, never a copy."""
     dictionary = graph.dictionary
     sections: List[bytes] = [b""] * SECTION_COUNT
     counts = []
     for kind in (0, 1, 2):
-        terms = dictionary.export_kind(kind)
-        counts.append(len(terms))
-        records = [_serialize_term(term) for term in terms]
-        offsets = array("Q", [0])
-        heap = bytearray()
-        position = 0
-        for record in records:
-            heap += record
-            position += len(record)
-            offsets.append(position)
+        records = [_serialize_term(term) for term in dictionary.export_kind(kind)]
+        counts.append(len(records))
+        offsets = array("Q", accumulate(map(len, records), initial=0))
         order = sorted(range(len(records)), key=records.__getitem__)
         sections[3 * kind + 0] = _le_bytes(offsets)
-        sections[3 * kind + 1] = bytes(heap)
+        sections[3 * kind + 1] = b"".join(records)
         sections[3 * kind + 2] = _le_bytes(array("Q", order))
 
+    # Distinct SPO-sorted rows, stably sorted on o, are OSP (ties keep
+    # (s, p) order); that, stably sorted on p, is POS (ties keep (o, s)).
     rows = list(graph.triples_ids())
     rows.sort()
     sections[_SEC_SPO] = _pack_rows(rows, 0, 1, 2)
-    rows.sort(key=_pos_key)
-    sections[_SEC_POS] = _pack_rows(rows, 1, 2, 0)
-    rows.sort(key=_osp_key)
+    rows.sort(key=itemgetter(2))
     sections[_SEC_OSP] = _pack_rows(rows, 2, 0, 1)
+    rows.sort(key=itemgetter(1))
+    sections[_SEC_POS] = _pack_rows(rows, 1, 2, 0)
     triple_count = len(rows)
     del rows
 
     sections[_SEC_STATS] = _pack_stats(graph.statistics(), dictionary)
 
-    body = bytearray()
-    entries = []
+    table = []
+    body = []
     cursor = HEADER_SIZE + _SECTION_TABLE_SIZE
     for data in sections:
         pad = (-cursor) % 8
-        body += b"\x00" * pad
         cursor += pad
-        entries.append((cursor, len(data)))
-        body += data
+        table.append(struct.pack("<QQ", cursor, len(data)))
+        body += (b"\x00" * pad, data)
         cursor += len(data)
-    table = b"".join(struct.pack("<QQ", off, ln) for off, ln in entries)
-    payload = table + bytes(body)
-    checksum = zlib.crc32(payload) & 0xFFFFFFFF
+    payload = [b"".join(table), *body]
+    checksum = 0
+    for part in payload:
+        checksum = zlib.crc32(part, checksum)
     header = struct.pack(
-        _HEADER_FMT,
-        MAGIC,
-        FORMAT_VERSION,
-        0,
-        len(payload),
-        checksum,
-        0,
-        triple_count,
-        counts[0],
-        counts[1],
-        counts[2],
+        _HEADER_FMT, MAGIC, FORMAT_VERSION, 0, cursor - HEADER_SIZE,
+        checksum, 0, triple_count, *counts,
     )
-    return header + payload
-
-
-def _pos_key(row):
-    return (row[1], row[2], row[0])
-
-
-def _osp_key(row):
-    return (row[2], row[0], row[1])
+    return [header, *payload]
 
 
 def _pack_rows(rows, a: int, b: int, c: int) -> bytes:
@@ -524,21 +512,29 @@ def _pack_stats(stats: GraphStatistics, dictionary) -> bytes:
 def write_snapshot(graph, path: str) -> int:
     """Build and atomically write a snapshot of ``graph`` to ``path``.
 
-    Returns the file size in bytes.  The write goes through a ``.tmp``
-    sibling and an ``os.replace`` so a crashed build never leaves a
-    half-written file where a reader expects a snapshot.
+    Returns the file size in bytes.  The write goes through a ``mkstemp``
+    sibling of its own and an ``os.replace`` so a crashed build never
+    leaves a half-written file where a reader expects a snapshot.
     """
     started = time.perf_counter()
-    data = build_snapshot_bytes(graph)
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    parts = _snapshot_parts(graph)
+    size = sum(map(len, parts))
+    fd, tmp_path = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            # mkstemp creates 0600; a snapshot is shared read-only.
+            os.fchmod(fd, 0o644)
+            handle.writelines(parts)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
+        raise
     _SNAP_BUILD_SECONDS.set(time.perf_counter() - started)
-    _SNAP_FILE_BYTES.set(len(data))
-    return len(data)
+    _SNAP_FILE_BYTES.set(size)
+    return size
 
 
 # ----------------------------------------------------------------------
@@ -696,8 +692,17 @@ class SnapshotDictionary:
     # -- records --------------------------------------------------------
 
     def _record(self, kind: int, offset: int) -> bytes:
+        """Heap record ``offset`` of ``kind``.  Open checks only the
+        final offset, so each read checks the span it touches."""
         offsets = self._offsets[kind]
-        return bytes(self._heaps[kind][offsets[offset] : offsets[offset + 1]])
+        heap = self._heaps[kind]
+        start, end = offsets[offset], offsets[offset + 1]
+        if not start <= end <= len(heap):
+            raise SnapshotFormatError(
+                f"{_KIND_NAMES[kind]} record {offset} spans [{start}, {end}), "
+                f"outside its {len(heap)}-byte heap"
+            )
+        return bytes(heap[start:end])
 
     # -- encoding -------------------------------------------------------
 
@@ -743,13 +748,16 @@ class SnapshotDictionary:
             return None
         record = _serialize_term(term)
         order = self._sorted[kind]
-        offsets = self._offsets[kind]
-        heap = self._heaps[kind]
         lo, hi = 0, n
         while lo < hi:
             mid = (lo + hi) >> 1
             j = order[mid]
-            candidate = bytes(heap[offsets[j] : offsets[j + 1]])
+            if j >= n:
+                raise SnapshotFormatError(
+                    f"{_KIND_NAMES[kind]} sort index entry {mid} names "
+                    f"record {j} of {n}"
+                )
+            candidate = self._record(kind, j)
             if candidate < record:
                 lo = mid + 1
             elif candidate > record:
@@ -781,7 +789,14 @@ class SnapshotDictionary:
         base = self._base[kind]
         if offset < base:
             record = self._record(kind, offset)
-            term = _parse_term(kind, record)
+            try:
+                term = _parse_term(kind, record)
+            except SnapshotFormatError:
+                raise
+            except ValueError as exc:  # bad UTF-8, or a string no term takes
+                raise SnapshotFormatError(
+                    f"{_KIND_NAMES[kind]} record {offset} is corrupt: {exc}"
+                ) from exc
             self._by_id[id] = term
             self._known_ids.setdefault(term, id)
             self._decoded_heap_bytes += len(record)

@@ -6,11 +6,13 @@ import struct
 import pytest
 
 from repro.rdf import BNode, Graph, Literal, URI
+from repro.rdf.dictionary import KIND_STRIDE
 from repro.rdf.snapshot import (
     FORMAT_VERSION,
     HEADER_SIZE,
     MAGIC,
     SnapshotChecksumError,
+    SnapshotError,
     SnapshotFormatError,
     SnapshotGraph,
     SnapshotMagicError,
@@ -301,6 +303,125 @@ def test_out_of_bounds_section_is_rejected(image):
     # Even with the checksum skipped, bounds are still enforced.
     with pytest.raises(SnapshotTruncatedError):
         SnapshotGraph.from_bytes(bytes(corrupt), verify=False)
+
+
+def _interior_graph() -> Graph:
+    """About 40 triples over every term kind, with short terms so the
+    byte-by-byte sweeps below stay small."""
+    graph = Graph()
+    objects = [
+        lambda i: URI(f"e:o{i % 6}"),
+        lambda i: Literal(f"v{i % 5}"),
+        lambda i: Literal(str(i), datatype="e:int"),
+        lambda i: Literal(f"t{i % 3}", language="en"),
+    ]
+    for i in range(40):
+        subject = URI(f"e:s{i % 7}") if i % 5 else BNode(f"b{i % 3}")
+        graph.add(subject, URI(f"e:p{i % 4}"), objects[i % 4](i))
+    return graph
+
+
+def _section(image: bytes, index: int):
+    """``(offset, length)`` of section ``index`` from the section table."""
+    return struct.unpack_from("<QQ", image, HEADER_SIZE + 16 * index)
+
+
+def _reads_fail_typed(image: bytes, terms) -> bool:
+    """Open ``image`` unverified and read every record both ways (decode
+    every base ID, look up every term, parse the statistics).  Every
+    failure must be a ``SnapshotError``; returns whether any read failed.
+    """
+    failed = False
+
+    def attempt(read):
+        nonlocal failed
+        try:
+            read()
+        except SnapshotError:
+            failed = True
+
+    try:
+        # Two mappings: decoding memoises term -> ID, which would let
+        # the lookups skip the sort index.
+        decoding = SnapshotGraph.from_bytes(image, verify=False)
+        looking_up = SnapshotGraph.from_bytes(image, verify=False)
+    except SnapshotError:
+        return True
+    for kind, n in enumerate(decoding.dictionary.size_by_kind().values()):
+        for offset in range(n):
+            attempt(lambda: decoding.dictionary.decode(kind * KIND_STRIDE + offset))
+    for term in terms:
+        attempt(lambda: looking_up.dictionary.lookup(term))
+    attempt(looking_up.statistics)
+    return failed
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["uri", "bnode", "literal"])
+@pytest.mark.parametrize("part", ["offsets", "heap", "sorted"])
+def test_corrupt_interiors_fail_typed_without_verify(part, kind):
+    """Offsets, heap bytes and sort entries bent one at a time under
+    ``verify=False``: reads raise ``SnapshotError`` subclasses, never a
+    bare ``ValueError``, ``IndexError``, ``UnicodeDecodeError`` or
+    ``struct.error`` (any of which would escape ``attempt``).
+
+    Out of scope: an ID in a *triple* section that names no dictionary
+    record still raises ``decode``'s documented ``KeyError``."""
+    graph = _interior_graph()
+    image = build_snapshot_bytes(graph)
+    terms = list(graph.dictionary.terms())
+    n = graph.dictionary.size_by_kind()[("uri", "bnode", "literal")[kind]]
+    start, length = _section(image, 3 * kind + ("offsets", "heap", "sorted").index(part))
+    heap_len = _section(image, 3 * kind + 1)[1]
+    mutations = []
+    if part == "heap":
+        for at in range(start, start + length):
+            mutations += [(at, bytes([value])) for value in (0xFF, 0x20, 0x00)]
+    else:
+        for at in range(start, start + length, 8):
+            (old,) = struct.unpack_from("<Q", image, at)
+            if part == "offsets":
+                values = (old - 1 if old else 0, heap_len + 1, 2**64 - 1)
+            else:
+                values = (n, n + 1, 2**64 - 1)
+            mutations += [(at, struct.pack("<Q", value)) for value in values]
+    failures = 0
+    for at, patch in mutations:
+        corrupt = image[:at] + patch + image[at + len(patch):]
+        failures += _reads_fail_typed(corrupt, terms)
+    assert failures  # the sweep reached the checks, not only harmless bytes
+
+
+def test_named_interior_corruptions_raise_format_errors():
+    graph = _interior_graph()
+    image = bytearray(build_snapshot_bytes(graph))
+    n_uri = graph.dictionary.size_by_kind()["uri"]
+    offsets_at, _ = _section(image, 0)
+    heap_at, heap_len = _section(image, 1)
+    sorted_at, _ = _section(image, 2)
+
+    def reopened():
+        return SnapshotGraph.from_bytes(bytes(image), verify=False).dictionary
+
+    original = bytes(image)
+    # A URI offset past the heap.
+    struct.pack_into("<Q", image, offsets_at + 8, heap_len + 1)
+    with pytest.raises(SnapshotFormatError, match="outside its"):
+        reopened().decode(0)
+    # A URI offset smaller than the one before it: record 1 is [2, 1).
+    image[:] = original
+    struct.pack_into("<QQ", image, offsets_at + 8, 2, 1)
+    with pytest.raises(SnapshotFormatError, match="outside its"):
+        reopened().decode(1)
+    # A heap byte that is not UTF-8.
+    image[:] = original
+    image[heap_at] = 0xFF
+    with pytest.raises(SnapshotFormatError, match="utf-8"):
+        reopened().decode(0)
+    # A sort entry >= the kind's term count, at the first probe.
+    image[:] = original
+    struct.pack_into("<Q", image, sorted_at + 8 * (n_uri >> 1), n_uri)
+    with pytest.raises(SnapshotFormatError, match="sort index"):
+        reopened().lookup(URI("e:s1"))
 
 
 def test_errors_are_typed_under_one_base(image):

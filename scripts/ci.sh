@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # The checks a pull request must pass, runnable without any install step:
-#   1. the observability + optimizer smoke test (EXPLAIN ANALYZE row
-#      accounting read off the physical operators' own counters against
-#      the endpoint's answer — the same engine, explained vs served —
-#      TopK fusion, plan-cache hit/invalidation, and the HVS/decomposer
-#      counters moving when toggled), then the order property in the
-#      physical EXPLAIN of the Fig. 4 chart: the inner aggregation is
-#      released per ?s ?p (the scans' sorted order reaches it), the
-#      outer one at the end of its input;
+#   1. the order property in the EXPLAIN of the Fig. 4 chart: the
+#      inner aggregation is released per ?s ?p (the scans' sorted order
+#      reaches it), the outer one at the end of its input (EXPLAIN
+#      ANALYZE row accounting, TopK fusion, plan-cache hit/invalidation
+#      and the HVS/decomposer counters are tier-1 tests:
+#      tests/obs/test_explain.py, tests/obs/test_instrumentation.py,
+#      tests/perf/test_plancache.py);
 #   2. the time-sliced executor smoke test (paged ≡ unpaged on the one
 #      engine: the same plan run under a row budget and with none, token
 #      hygiene — a suspended query resumed across a graph mutation is
@@ -55,12 +54,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-echo "== repro explain --self-test =="
-python -m repro explain --self-test
-
-echo
 echo "== order-aware aggregation in the physical EXPLAIN =="
-chart_plan="$(python -m repro explain --physical --chart owl:Thing)"
+chart_plan="$(python -m repro explain --chart owl:Thing)"
 grep -q 'Aggregation (group by ?s ?p, released per ?s ?p)' <<< "$chart_plan" \
   || { echo "FAIL: the chart's inner aggregation is not released per ?s ?p"; exit 1; }
 grep -q 'Aggregation (group by ?p, released at end)' <<< "$chart_plan" \

@@ -1072,10 +1072,8 @@ def _prologue() -> str:
 
 
 def _cmd_explain(args) -> int:
-    """EXPLAIN / EXPLAIN ANALYZE a query's algebra (or physical) plan."""
-    if args.self_test:
-        return _explain_self_test(args)
-    from .obs import explain
+    """EXPLAIN / EXPLAIN ANALYZE a query's physical plan."""
+    from .obs import explain_physical
 
     session = _build_session(args)
     graph = session.endpoint.graph
@@ -1090,20 +1088,10 @@ def _cmd_explain(args) -> int:
     elif args.query:
         query_text = _prologue() + args.query
     else:
-        print(
-            "error: provide a query, --chart CLASS, or --self-test",
-            file=sys.stderr,
-        )
+        print("error: provide a query or --chart CLASS", file=sys.stderr)
         return 2
     try:
-        if args.physical:
-            from .obs import explain_physical
-
-            explained = explain_physical(graph, query_text, analyze=args.analyze)
-        else:
-            explained = explain(
-                graph, query_text, analyze=args.analyze, optimize=args.optimize
-            )
+        explained = explain_physical(graph, query_text, analyze=args.analyze)
     except SparqlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1113,164 +1101,6 @@ def _cmd_explain(args) -> int:
             print(explained.to_json_lines())
     else:
         print(explained.render())
-    return 0
-
-
-def _explain_self_test(args) -> int:
-    """End-to-end smoke: EXPLAIN ANALYZE row accounting and the perf
-    counters moving when HVS/decomposer are toggled (used by CI)."""
-    from .core import MemberPattern, property_chart_query
-    from .obs import explain
-    from .obs.metrics import REGISTRY
-    from .perf import Decomposer, ElindaEndpoint, HeavyQueryStore, MaterializedViews
-
-    failures: List[str] = []
-
-    def check(condition: bool, message: str) -> None:
-        print(("ok: " if condition else "FAIL: ") + message)
-        if not condition:
-            failures.append(message)
-
-    session = _build_session(args)
-    graph = session.endpoint.graph
-    root = session.settings.root_class
-    query = property_chart_query(MemberPattern.of_type(root), Direction.OUTGOING)
-
-    # 1. EXPLAIN ANALYZE: the root operator's actual rows must equal the
-    # SELECT's result rows, measured independently.
-    explained = explain(graph, query, analyze=True)
-    select_rows = len(session.endpoint.select(query).rows)
-    check(
-        explained.plan.actual_rows == select_rows,
-        f"root operator rows ({explained.plan.actual_rows}) match SELECT "
-        f"result rows ({select_rows})",
-    )
-    check(
-        explained.result_rows == select_rows,
-        "analyze run produced the same result cardinality",
-    )
-    check(
-        all(
-            plan.actual_rows is not None and plan.wall_ms is not None
-            for plan in explained.plan.walk()
-        ),
-        "every operator reports actual rows and wall time",
-    )
-
-    # 2. Perf counters move when the solutions are toggled on/off.
-    def counter(name: str, **labels) -> float:
-        metric = REGISTRY.get(name)
-        return metric.labels(**labels).value if labels else metric.value
-
-    backend = LocalEndpoint(graph, clock=SimClock())
-    elinda = ElindaEndpoint(
-        backend,
-        hvs=HeavyQueryStore(threshold_ms=0.000001),
-        decomposer=Decomposer(MaterializedViews(graph, track=False)),
-    )
-
-    before = counter("repro_decomposer_requests_total", outcome="rewritten")
-    elinda.query(query)
-    check(
-        counter("repro_decomposer_requests_total", outcome="rewritten")
-        == before + 1,
-        "decomposer rewrite counter moves when the decomposer is on",
-    )
-
-    elinda.use_decomposer = False
-    before = counter("repro_decomposer_requests_total", outcome="rewritten")
-    before_miss = counter("repro_hvs_lookups_total", outcome="miss")
-    elinda.query(query)  # falls through to the backend, stored as heavy
-    check(
-        counter("repro_decomposer_requests_total", outcome="rewritten")
-        == before,
-        "decomposer rewrite counter stays flat when the decomposer is off",
-    )
-    check(
-        counter("repro_hvs_lookups_total", outcome="miss") == before_miss + 1,
-        "HVS miss counter moves on the first backend round-trip",
-    )
-
-    before_hit = counter("repro_hvs_lookups_total", outcome="hit")
-    elinda.query(query)  # now answered from the HVS
-    check(
-        counter("repro_hvs_lookups_total", outcome="hit") == before_hit + 1,
-        "HVS hit counter moves when the cached query repeats",
-    )
-
-    elinda.use_hvs = False
-    before_hit = counter("repro_hvs_lookups_total", outcome="hit")
-    before_miss = counter("repro_hvs_lookups_total", outcome="miss")
-    elinda.query(query)
-    check(
-        counter("repro_hvs_lookups_total", outcome="hit") == before_hit
-        and counter("repro_hvs_lookups_total", outcome="miss") == before_miss,
-        "HVS counters stay flat when the HVS is off",
-    )
-
-    # 3. Optimizer: ORDER BY + LIMIT fuses into TopK, and the optimized
-    # plan returns the same rows as the raw translation.
-    topk_query = _prologue() + (
-        "SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?s ?o LIMIT 7"
-    )
-    optimized = explain(graph, topk_query, optimize=True)
-    check(
-        any(plan.label == "TopK" for plan in optimized.plan.walk()),
-        "ORDER BY + LIMIT executes through a TopK operator",
-    )
-    check(
-        optimized.pre_plan is not None
-        and all(plan.label != "TopK" for plan in optimized.pre_plan.walk()),
-        "the pre-optimization plan still shows the full sort",
-    )
-    check(
-        any(pass_name == "top_k_fusion" for pass_name, _ in optimized.passes),
-        "the plan carries per-pass optimizer annotations",
-    )
-    raw_endpoint = LocalEndpoint(
-        graph, clock=SimClock(), optimize=False, plan_cache=False
-    )
-    raw_rows = raw_endpoint.query(topk_query).result.rows
-    opt_endpoint = LocalEndpoint(graph, clock=SimClock())
-    opt_rows = opt_endpoint.query(topk_query).result.rows
-    check(raw_rows == opt_rows or sorted(
-        tuple(sorted(row.items())) for row in raw_rows
-    ) == sorted(tuple(sorted(row.items())) for row in opt_rows),
-        "optimized and unoptimized plans return the same rows",
-    )
-
-    # 4. Plan cache: a repeated query hits, a graph update invalidates.
-    before_hits = counter("repro_plancache_requests_total", outcome="hit")
-    opt_endpoint.query(topk_query)
-    check(
-        counter("repro_plancache_requests_total", outcome="hit")
-        == before_hits + 1,
-        "repeating a query hits the plan cache",
-    )
-    before_invalidations = counter("repro_plancache_invalidations_total")
-    from .rdf import URI as _URI
-
-    graph.add(
-        _URI("http://example.org/self-test"),
-        _URI("http://example.org/p"),
-        _URI("http://example.org/o"),
-    )
-    opt_endpoint.query(topk_query)
-    check(
-        counter("repro_plancache_invalidations_total")
-        == before_invalidations + 1,
-        "a graph update invalidates the cached plan",
-    )
-    graph.remove(
-        _URI("http://example.org/self-test"),
-        _URI("http://example.org/p"),
-        _URI("http://example.org/o"),
-    )
-
-    if failures:
-        print(f"self-test failed ({len(failures)} checks)", file=sys.stderr)
-        return 1
-    print("self-test passed")
     return 0
 
 
@@ -1395,9 +1225,9 @@ def _snapshot_self_test(args) -> int:
         check(len(snap_pages) > 1, f"query actually paged ({len(snap_pages)} pages)")
 
         # 4. EXPLAIN runs over the snapshot unchanged.
-        from .obs import explain
+        from .obs import explain_physical
 
-        explained = explain(snap, query, analyze=True)
+        explained = explain_physical(snap, query, analyze=True)
         check(
             explained.plan.actual_rows is not None,
             "EXPLAIN ANALYZE executes over the snapshot",
@@ -1841,7 +1671,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve)
 
     explain = sub.add_parser(
-        "explain", help="EXPLAIN / EXPLAIN ANALYZE a SPARQL query"
+        "explain", help="EXPLAIN / EXPLAIN ANALYZE a SPARQL query's physical plan"
     )
     explain.add_argument(
         "query", nargs="?", help="SPARQL query text (standard prefixes pre-declared)"
@@ -1850,19 +1680,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--analyze",
         action="store_true",
         help="execute the query and report actual rows and wall time",
-    )
-    explain.add_argument(
-        "--optimize",
-        action="store_true",
-        help="run the algebra optimizer and show the plan before and "
-        "after, with per-pass annotations",
-    )
-    explain.add_argument(
-        "--physical",
-        action="store_true",
-        help="show the optimized physical operator tree the executor runs "
-        "(scan chains, and what each aggregation is released per) "
-        "instead of the algebra plan",
     )
     explain.add_argument(
         "--json", action="store_true", help="emit the plan (and spans) as JSON"
@@ -1878,11 +1695,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["properties", "ingoing"],
         default="properties",
         help="chart direction for --chart",
-    )
-    explain.add_argument(
-        "--self-test",
-        action="store_true",
-        help="run the observability smoke test (used by scripts/ci.sh)",
     )
     explain.set_defaults(func=_cmd_explain)
 

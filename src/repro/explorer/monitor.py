@@ -178,22 +178,22 @@ class QueryMonitor:
         lines = [
             "Query monitor",
             "=============",
-            f"{'source':<12} {'queries':>8} {'total ms':>12} "
-            f"{'mean ms':>10} {'max ms':>12}",
+            f"{'source':<12} {'queries':>8} {'total sim ms':>14} "
+            f"{'mean sim ms':>12} {'max sim ms':>12}",
         ]
         for summary in summaries:
             lines.append(
                 f"{summary.source:<12} {summary.queries:>8} "
-                f"{summary.total_ms:>12.1f} {summary.mean_ms:>10.1f} "
+                f"{summary.total_ms:>14.1f} {summary.mean_ms:>12.1f} "
                 f"{summary.max_ms:>12.1f}"
             )
         heavy = self.heavy_queries(since_mark)
         lines.append(
-            f"heavy queries (>{self.heavy_threshold_ms:.0f} ms): {len(heavy)}"
+            f"heavy queries (>{self.heavy_threshold_ms:.0f} sim ms): {len(heavy)}"
         )
         for entry in heavy[:3]:
             first_line = entry.query_text.strip().splitlines()[0]
-            lines.append(f"  {entry.elapsed_ms:>12.1f} ms  {first_line[:60]}")
+            lines.append(f"  {entry.elapsed_ms:>12.1f} sim ms  {first_line[:60]}")
         operators = sorted(
             self.by_operator(since_mark).values(), key=lambda b: -b.wall_ms
         )

@@ -60,16 +60,16 @@ class CachedPlan:
     """One cached front-half result for a query text.
 
     ``algebra`` is the plan to execute (optimized when an optimizer ran,
-    raw otherwise); ``raw_algebra`` is always the direct translation —
-    EXPLAIN renders both.  For a CONSTRUCT both describe the solution
-    sequence its template is applied to.  ``stats_version`` is the graph
-    version the plan's cost-based decisions were derived from, or None
-    when no statistics were consulted.
+    the direct translation otherwise); for a CONSTRUCT it describes the
+    solution sequence the template is applied to.  ``notes`` are the
+    optimizer's ``(pass, detail)`` annotations, which EXPLAIN lists.
+    ``stats_version`` is the graph version the plan's cost-based
+    decisions were derived from, or None when no statistics were
+    consulted.
     """
 
     query: Query
     algebra: AlgebraNode
-    raw_algebra: AlgebraNode
     stats_version: Optional[int]
     notes: Tuple[Tuple[str, str], ...] = ()
     #: Lazily compiled physical-plan factory (see :meth:`physical_factory`).
@@ -164,14 +164,13 @@ def build_plan(query_text: str, graph=None, optimize: bool = True) -> CachedPlan
     query = parse_query(query_text)
     raw = translate_query(query)
     if not optimize:
-        return CachedPlan(query, raw, raw, None)
+        return CachedPlan(query, raw, None)
     from ..sparql.optimizer import optimize as run_optimizer
 
     optimized, report = run_optimizer(raw, graph=graph)
     return CachedPlan(
         query,
         optimized,
-        raw,
         graph.version if graph is not None else None,
         tuple(report.notes),
     )

@@ -3,8 +3,7 @@
 The optimizer is a pipeline of independent passes, each taking an
 algebra tree and returning a (possibly) rewritten tree plus human-readable
 notes about what it changed.  Passes never mutate their input — rewritten
-trees share unchanged subtrees with the original, which lets the plan
-cache hold both the raw and the optimized plan of one query.
+trees share unchanged subtrees with the original.
 
 Passes, in pipeline order:
 
@@ -97,7 +96,9 @@ if False:  # pragma: no cover - typing only
 __all__ = [
     "OptimizationReport",
     "PASS_NAMES",
+    "estimate",
     "optimize",
+    "pattern_estimate",
 ]
 
 _OPTIMIZER_RUNS_TOTAL = REGISTRY.counter(
@@ -694,7 +695,8 @@ def _aggregate_reads_whole_row(expression: Expression) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _pattern_estimate(pattern, bound: set, stats: "GraphStatistics") -> float:
+def pattern_estimate(pattern, bound: set, stats: "GraphStatistics") -> float:
+    """Estimated matches of one triple pattern once ``bound`` is bound."""
     subject_bound = not isinstance(pattern.subject, Var) or pattern.subject.name in bound
     object_bound = not isinstance(pattern.object, Var) or pattern.object.name in bound
     predicate = None
@@ -721,7 +723,7 @@ def _order_bgp(bgp: BGP, stats: "GraphStatistics") -> Tuple[List, float]:
         best_index = 0
         best_cost = None
         for index, pattern in enumerate(remaining):
-            cost = _pattern_estimate(pattern, bound, stats)
+            cost = pattern_estimate(pattern, bound, stats)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_index = index
@@ -732,30 +734,32 @@ def _order_bgp(bgp: BGP, stats: "GraphStatistics") -> Tuple[List, float]:
     return ordered, total
 
 
-def _estimate_node(node: AlgebraNode, stats: "GraphStatistics") -> float:
+def estimate(node: AlgebraNode, stats: "GraphStatistics") -> float:
+    """Estimated output rows of an algebra subtree: the cardinality
+    model the join ordering is decided by, and EXPLAIN prints."""
     if isinstance(node, BGP):
         _, total = _order_bgp(node, stats)
         return total
     if isinstance(node, Join):
-        return _estimate_node(node.left, stats) * _estimate_node(node.right, stats)
+        return estimate(node.left, stats) * estimate(node.right, stats)
     if isinstance(node, (LeftJoin, Minus)):
-        return _estimate_node(node.left, stats)
+        return estimate(node.left, stats)
     if isinstance(node, Union):
-        return sum(_estimate_node(branch, stats) for branch in node.branches)
+        return sum(estimate(branch, stats) for branch in node.branches)
     if isinstance(node, ValuesTable):
         return float(len(node.rows))
     if isinstance(node, Unit):
         return 1.0
     if isinstance(node, (Filter, Extend, Project, Distinct, Reduced, OrderBy)):
-        return _estimate_node(node.input, stats)
+        return estimate(node.input, stats)
     if isinstance(node, (Slice, TopK)):
-        inner = _estimate_node(node.input, stats)
+        inner = estimate(node.input, stats)
         limit = getattr(node, "limit", None)
         if limit is not None:
             return min(inner, float(limit))
         return inner
     if isinstance(node, Aggregation):
-        return _estimate_node(node.input, stats)
+        return estimate(node.input, stats)
     return 1.0
 
 
@@ -778,8 +782,8 @@ def _pass_stats_reorder(
         if isinstance(node, BGP):
             return BGP(node.patterns, node.filters, preordered=True)
         if isinstance(node, Join):
-            left_estimate = _estimate_node(node.left, stats)
-            right_estimate = _estimate_node(node.right, stats)
+            left_estimate = estimate(node.left, stats)
+            right_estimate = estimate(node.right, stats)
             if right_estimate < left_estimate:
                 report.add(
                     "stats_reorder",

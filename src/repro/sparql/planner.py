@@ -46,12 +46,10 @@ from .algebra import (
     ValuesTable,
     certain_variables,
     expression_variables,
-    translate_query,
 )
 from .ast import PathExpr, Query, SelectQuery, TriplePatternNode, Var
 from .errors import SparqlEvalError
 from .evaluator import Evaluator
-from .parser import parse_query
 from .physical import (
     AggregationOp,
     DistinctOp,
@@ -443,13 +441,9 @@ def build_physical_plan(
 ) -> PhysicalPlan:
     """Parse, optimize, compile, and instantiate in one step.
 
-    Convenience for tests and the CLI; endpoints go through the plan
-    cache instead so compilation is shared across pages and requests.
+    The endpoints' front half (:func:`repro.perf.plancache.build_plan`)
+    without its cache: convenience for tests and the CLI.
     """
-    query = parse_query(query_text)
-    algebra = translate_query(query)
-    if optimize:
-        from .optimizer import optimize as run_optimizer
+    from ..perf.plancache import build_plan
 
-        algebra, _ = run_optimizer(algebra, graph=graph)
-    return PhysicalPlanFactory(query, algebra).instantiate(graph)
+    return build_plan(query_text, graph, optimize).physical_factory().instantiate(graph)

@@ -222,7 +222,7 @@ class TestExplain:
         )
         assert code == 0
         assert "Aggregation" in out
-        assert "BGP" in out
+        assert "PatternScan" in out
 
     def test_explain_json(self, capsys):
         import json
@@ -236,7 +236,8 @@ class TestExplain:
         assert code == 0
         document = json.loads(out)
         assert document["analyzed"] is False
-        assert document["plan"]["operator"] == "Slice"
+        assert document["plan"]["operator"] == "Materialize"
+        assert document["plan"]["children"][0]["operator"] == "Slice"
 
     def test_explain_analyze_json_includes_spans(self, capsys):
         import json
@@ -259,25 +260,19 @@ class TestExplain:
         assert spans
         assert all("operator" in span for span in spans)
 
-    def test_explain_rejects_construct(self, capsys):
-        code, _out, err = run(
+    def test_explain_construct(self, capsys):
+        code, out, _err = run(
             capsys,
             "explain",
             "CONSTRUCT { ?s ?p ?o } WHERE { ?s ?p ?o }",
         )
-        assert code == 1
-        assert "SELECT and ASK" in err
+        assert code == 0
+        assert "PatternScan (?s ?p ?o .)" in out
 
     def test_explain_requires_input(self, capsys):
         code, _out, err = run(capsys, "explain")
         assert code == 2
         assert "provide a query" in err
-
-    def test_self_test(self, capsys):
-        code, out, _err = run(capsys, "explain", "--self-test")
-        assert code == 0
-        assert "self-test passed" in out
-        assert "FAIL" not in out
 
 
 class TestMetrics:

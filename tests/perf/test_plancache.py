@@ -4,6 +4,7 @@ import pytest
 
 from repro.endpoint.clock import SimClock
 from repro.endpoint.local import LocalEndpoint
+from repro.obs.metrics import REGISTRY
 from repro.perf.plancache import (
     _EVICTIONS_TOTAL,
     _HITS,
@@ -14,7 +15,9 @@ from repro.perf.plancache import (
     build_plan,
 )
 from repro.rdf import Graph, Literal, URI
-from repro.sparql.algebra import BGP
+from repro.sparql import optimizer  # noqa: F401  (registers its run counter)
+from repro.sparql.algebra import BGP, translate_query
+from repro.sparql.parser import parse_query
 
 EX = "http://example.org/"
 QUERY = f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o }}"
@@ -111,14 +114,20 @@ class TestPlanCache:
 
 class TestBuildPlan:
     def test_optimized_plan_records_version(self, graph):
+        optimizer_runs = REGISTRY.get("repro_optimizer_runs_total")
+        runs = optimizer_runs.value
         plan = build_plan(QUERY, graph=graph)
+        assert optimizer_runs.value == runs + 1
         assert plan.stats_version == graph.version
         assert plan.algebra is not None
-        assert plan.raw_algebra is not None
 
     def test_unoptimized_plan_shares_raw(self):
+        optimizer_runs = REGISTRY.get("repro_optimizer_runs_total")
+        runs = optimizer_runs.value
         plan = build_plan(QUERY, optimize=False)
-        assert plan.algebra is plan.raw_algebra
+        assert optimizer_runs.value == runs
+        assert plan.algebra == translate_query(parse_query(QUERY))
+        assert plan.notes == ()
         assert plan.stats_version is None
 
 
